@@ -145,7 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="skip cells provably above this gap threshold")
     s.add_argument("--epsilon", type=float, default=None,
                    help="also report the sublevel-set cell count")
-    s.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    s.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                   help="accepted for compatibility; sweeps run in one thread")
     s.add_argument("--csv-out", default=None)
     s.add_argument("--pgm-out", default=None)
     s.add_argument("--json-out", default=None)
@@ -249,6 +250,10 @@ def _cmd_sweep(args) -> int:
                       accuracy=args.accuracy, workers=args.workers)
     wall = time.monotonic() - start
     finite = np.isfinite(grid.values)
+    if not finite.any():
+        raise NumericalFailure(
+            f"no cell of the sweep has a value ({len(grid.failures)} failed, "
+            f"{int(grid.skipped_mask.sum())} skipped)")
     argmin = np.unravel_index(np.nanargmin(np.where(finite, grid.values, np.inf)),
                               grid.values.shape)
     lam_min = spec.probe(t.d_total, argmin)

@@ -13,19 +13,23 @@ never solved for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import contextlib
+import functools
+import logging
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .clifford import CliffordRep
+from .clifford import CliffordRep, build_clifford
 from .errors import (
     ChiralSymmetryViolation,
     DimensionMismatch,
     InvalidOperator,
     NotRealMatrix,
     NumericalFailure,
+    ParameterOutOfRange,
     RepMismatch,
     SymmetryHypothesisViolated,
 )
@@ -35,19 +39,27 @@ from .operators import (
     StateVector,
     _is_sparse,
     _max_abs,
+    eigenpair_nearest_zero,
     operator_norm,
-    smallest_abs_eigenvalue,
-    smallest_singular_value,
+    solves_densely,
 )
 
 COMMUTE_RTOL = 1e-12
 #: clamp for tiny negative eigenvalues of the positive-semidefinite Q
 NEGATIVE_EIG_TOL = 1e-10
+GAP_KINDS = ("quadratic", "clifford")
+
+_LOG = logging.getLogger("jointspec")
 
 __all__ = [
     "ProbePoint",
     "ObservableTuple",
     "GapResult",
+    "Pencil",
+    "quadratic_pencil",
+    "localizer_pencil",
+    "shifted_observables",
+    "gap_values",
     "tall_composite",
     "quadratic_operator",
     "localizer",
@@ -94,7 +106,7 @@ class ObservableTuple:
     optional lattice bookkeeping (site count, orbitals per site, axis names).
     """
 
-    __slots__ = ("ops", "commuting_prefix", "meta")
+    __slots__ = ("ops", "commuting_prefix", "meta", "_pencils")
 
     def __init__(self, ops, commuting_prefix: int = 0, meta: Optional[dict] = None):
         ops = tuple(o if isinstance(o, HermitianOperator) else HermitianOperator(o)
@@ -118,6 +130,9 @@ class ObservableTuple:
         self.ops = ops
         self.commuting_prefix = commuting_prefix
         self.meta = dict(meta or {})
+        #: composite pencils, built on the first gap call, and the
+        #: per-observable diagonal flags that select their variant
+        self._pencils = {}
 
     @property
     def d_total(self) -> int:
@@ -134,6 +149,212 @@ class ObservableTuple:
     def __repr__(self):
         return (f"ObservableTuple(d={self.d_total}, dim={self.dim}, "
                 f"commuting_prefix={self.commuting_prefix})")
+
+
+class Pencil:
+    """A composite operator as a function of the probe, built once per model.
+
+    Its value at lam is an array over a fixed pattern (a flattened dense
+    matrix, or the data of a CSC matrix):
+
+        values(lam) = base + sum_j term_j(lam_j)
+
+    ``base`` is validated once, at construction.  A coordinate whose
+    observable is diagonal (the position block of every built-in model)
+    touches its entries as ``(x - lam_j) g`` (affine composites) or
+    ``(x - lam_j)^2`` (the quadratic one), so no cancellation occurs.  Any
+    other coordinate touches them as ``-lam_j g``, plus ``lam_j^2`` on the
+    diagonal for the quadratic composite.  Every call returns a matrix on
+    fresh values; only the read-only pattern is shared between calls.
+    """
+
+    __slots__ = ("dim", "fmt", "_base", "_indices", "_indptr", "_shift",
+                 "_lin", "_sq")
+
+    def __init__(self, dim, fmt, base, shift=(), lin=(), sq=()):
+        """``fmt`` is "dense" or "csc"; ``base`` is a validated
+        HermitianOperator in that format or None; ``shift`` holds
+        ``(j, rows, cols, x, g)`` (``g`` None for squares), ``lin`` holds
+        ``(j, rows, cols, g)`` and ``sq`` holds ``(j, rows, cols)``."""
+        self.dim, self.fmt = dim, fmt
+        keys = [self._keys(rows, cols) for _, rows, cols, *_ in
+                (*shift, *lin, *sq)]
+        if fmt == "dense":
+            self._indices = self._indptr = None
+            self._base = (np.zeros(dim * dim, dtype=complex) if base is None
+                          else np.ravel(base.dense()))
+        else:
+            if base is not None:
+                rows, cols, vals = _coo(base.mat)
+                keys.append(self._keys(rows, cols))
+            pattern = np.sort(np.concatenate(keys))
+            pattern = pattern[np.append(True, pattern[1:] != pattern[:-1])]
+            idx = np.int32 if pattern.size < 2 ** 31 else np.int64
+            self._indices = (pattern % dim).astype(idx)
+            self._indptr = np.searchsorted(pattern // dim,
+                                           np.arange(dim + 1)).astype(idx)
+            self._indices.flags.writeable = self._indptr.flags.writeable = False
+            keys = [np.searchsorted(pattern, k) for k in keys]
+            self._base = np.zeros(pattern.size, dtype=complex)
+            if base is not None:
+                self._base[keys.pop()] = vals
+        pos = iter(keys)
+        self._shift = [(j, next(pos), x, g) for j, _, _, x, g in shift]
+        self._lin = [(j, next(pos), g) for j, _, _, g in lin]
+        self._sq = [(j, next(pos)) for j, _, _ in sq]
+
+    def _keys(self, rows, cols):
+        """Sort keys of entries: row-major offsets for a dense pencil,
+        column-major ones for a CSC pencil."""
+        rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+        return rows * self.dim + cols if self.fmt == "dense" \
+            else cols * self.dim + rows
+
+    def values(self, lams) -> np.ndarray:
+        """Values at each probe of a (k, d) array, shape (k, pattern size)."""
+        lams = np.asarray(lams, dtype=float)
+        out = np.empty((lams.shape[0], self._base.size), dtype=complex)
+        out[:] = self._base
+        for j, pos, x, g in self._shift:
+            s = x - lams[:, j, None]
+            out[:, pos] += s * s if g is None else s * g
+        for j, pos, g in self._lin:
+            out[:, pos] -= lams[:, j, None] * g
+        for j, pos in self._sq:
+            out[:, pos] += lams[:, j, None] ** 2
+        return out
+
+    def matrix(self, values):
+        """The composite for one row of ``values``."""
+        n = self.dim
+        if self.fmt == "dense":
+            return values.reshape(n, n)
+        return sp.csc_matrix((values, self._indices, self._indptr), shape=(n, n))
+
+    def at(self, lam):
+        """The composite at one probe."""
+        return self.matrix(self.values(np.atleast_2d(lam))[0])
+
+def _coo(m):
+    """(rows, cols, values) of the nonzero entries of a dense or sparse matrix."""
+    if _is_sparse(m):
+        c = m.tocoo()
+        return c.row, c.col, c.data
+    rows, cols = np.nonzero(m)
+    return rows, cols, m[rows, cols]
+
+
+def _block_entries(n, g):
+    """Rows, columns and values of I_n (x) g."""
+    gi, gk = np.nonzero(g)
+    r = g.shape[0]
+    blocks = np.arange(n)[:, None] * r
+    return ((blocks + gi).ravel(), (blocks + gk).ravel(),
+            np.tile(g[gi, gk], n))
+
+
+def _affine_pencil(ops, gammas, fmt, skip=()) -> Pencil:
+    """sum_j (X_j - lam_j) (x) Gamma_j, for probes with lam_j = 0 for j in
+    ``skip`` (non-diagonal coordinates only)."""
+    n = ops[0].dim
+    base, shift, lin = None, [], []
+    for j, (o, g) in enumerate(zip(ops, gammas)):
+        rows, cols, gv = _block_entries(n, g)
+        if o.is_diagonal:
+            x = np.repeat(o.diagonal().real, np.count_nonzero(g))
+            shift.append((j, rows, cols, x, gv))
+            continue
+        m = o.mat if fmt == "dense" else sp.csr_matrix(o.mat)
+        term = sp.kron(m, g, format="csr") if _is_sparse(m) else np.kron(m, g)
+        base = term if base is None else base + term
+        if j not in skip:
+            lin.append((j, rows, cols, gv))
+    dim = n * gammas[0].shape[0]
+    return Pencil(dim, fmt, None if base is None
+                  else HermitianOperator(base, copy=False), shift, lin)
+
+
+def _quadratic_pencil(ops, fmt, skip=()) -> Pencil:
+    """sum_j (X_j - lam_j)^2 = sum_j X_j^2 - 2 lam_j X_j + lam_j^2, for
+    probes with lam_j = 0 for j in ``skip`` (non-diagonal coordinates only)."""
+    n = ops[0].dim
+    diag = np.arange(n)
+    base, shift, lin, sq = None, [], [], []
+    for j, o in enumerate(ops):
+        if o.is_diagonal:
+            shift.append((j, diag, diag, o.diagonal().real, None))
+            continue
+        m = o.mat
+        base = m @ m if base is None else base + m @ m
+        if j not in skip:
+            rows, cols, vals = _coo(m)
+            lin.append((j, rows, cols, 2.0 * vals))
+            sq.append((j, diag, diag))
+    return Pencil(n, fmt, None if base is None
+                  else HermitianOperator(base, copy=False), shift, lin, sq)
+
+
+def _cached(t: ObservableTuple, key, variant, build):
+    """The pencil cached on t under key, rebuilt when its variant changes
+    (one variant is kept, so a model never holds two of one composite)."""
+    cache = t._pencils
+    if key in cache and cache[key][0] == variant:
+        return cache[key][1]
+    cache.pop(key, None)
+    cache[key] = (variant, build())
+    return cache[key][1]
+
+
+def _solver_format(t: ObservableTuple, dim: int) -> str:
+    return "dense" if solves_densely(dim, t.is_sparse) else "csc"
+
+
+def _zero_terms(t: ObservableTuple, fmt: str, lam) -> tuple:
+    """Non-diagonal coordinates that are 0 at lam, whose entries a sparse
+    pencil leaves out: stored zeros would enlarge the factorization."""
+    if fmt == "dense" or lam is None:
+        return ()
+    diagonal = _cached(t, "diagonal", None,
+                       lambda: [o.is_diagonal for o in t.ops])
+    return tuple(j for j, s in enumerate(lam)
+                 if s == 0.0 and not diagonal[j])
+
+
+def quadratic_pencil(t: ObservableTuple, lam=None) -> Pencil:
+    """Pencil of Q, built on first use and cached on the tuple.  Given a
+    probe, a sparse pencil is the one for probes with the same zero
+    coordinates."""
+    fmt = _solver_format(t, t.dim)
+    skip = _zero_terms(t, fmt, lam)
+    return _cached(t, "Q", skip, lambda: _quadratic_pencil(t.ops, fmt, skip))
+
+
+def localizer_pencil(t: ObservableTuple, rep: CliffordRep, lam=None) -> Pencil:
+    """Pencil of L for one Clifford representation, cached on the tuple;
+    ``lam`` as for ``quadratic_pencil``."""
+    if rep.d != t.d_total:
+        raise RepMismatch(f"representation has d={rep.d}, tuple has d={t.d_total}")
+    fmt = _solver_format(t, t.dim * rep.rep_dim)
+    skip = _zero_terms(t, fmt, lam)
+    key = ("L",) + tuple(g.tobytes() for g in rep.gammas)
+    return _cached(t, key, skip,
+                   lambda: _affine_pencil(t.ops, rep.gammas, fmt, skip))
+
+
+def shifted_observables(t: ObservableTuple, lam) -> list:
+    """The observables X_j - lam_j I, each in its observable's format; an
+    observable with lam_j = 0 is returned as it is."""
+    lam = _as_probe(lam)
+    _check_probe(t, lam)
+    out = []
+    for o, s in zip(t.ops, lam.coords):
+        if s == 0.0:
+            out.append(o)
+            continue
+        eye = (sp.identity(o.dim, dtype=complex, format="csr") if o.is_sparse
+               else np.eye(o.dim, dtype=complex))
+        out.append(HermitianOperator.trusted(o.mat - s * eye))
+    return out
 
 
 @dataclass
@@ -158,20 +379,9 @@ def _check_probe(t: ObservableTuple, lam: ProbePoint):
             f"probe has {lam.d} coordinates for a {t.d_total}-tuple")
 
 
-def _shifted(op: HermitianOperator, s: float):
-    m = op.mat
-    if s == 0.0:
-        return m
-    if _is_sparse(m):
-        return m - s * sp.identity(m.shape[0], dtype=complex, format="csr")
-    return m - s * np.eye(m.shape[0], dtype=complex)
-
-
 def tall_composite(t: ObservableTuple, lam) -> np.ndarray:
     """Vertical stack of (X_j - lam_j I), shape (d*n, n)."""
-    lam = _as_probe(lam)
-    _check_probe(t, lam)
-    blocks = [_shifted(o, s) for o, s in zip(t.ops, lam.coords)]
+    blocks = [o.mat for o in shifted_observables(t, lam)]
     if t.is_sparse:
         return sp.vstack([sp.csr_matrix(b) for b in blocks], format="csr")
     return np.vstack(blocks)
@@ -181,64 +391,152 @@ def quadratic_operator(t: ObservableTuple, lam) -> HermitianOperator:
     """Q_lam = sum (X_j - lam_j)^2, positive-semidefinite, size n x n."""
     lam = _as_probe(lam)
     _check_probe(t, lam)
-    acc = None
-    for o, s in zip(t.ops, lam.coords):
-        m = _shifted(o, s)
-        term = m @ m
-        acc = term if acc is None else acc + term
-    return HermitianOperator(acc, copy=False)
+    return HermitianOperator.trusted(
+        quadratic_pencil(t, lam.coords).at(lam.coords))
 
 
 def localizer(t: ObservableTuple, lam, rep: CliffordRep) -> HermitianOperator:
     """L_lam = sum (X_j - lam_j) (x) Gamma_j of dimension n * rep_dim."""
     lam = _as_probe(lam)
     _check_probe(t, lam)
-    if rep.d != t.d_total:
-        raise RepMismatch(f"representation has d={rep.d}, tuple has d={t.d_total}")
-    acc = None
-    for o, s, g in zip(t.ops, lam.coords, rep.gammas):
-        m = _shifted(o, s)
-        term = sp.kron(m, g, format="csr") if _is_sparse(m) else np.kron(m, g)
-        acc = term if acc is None else acc + term
-    return HermitianOperator(acc, copy=False)
+    return HermitianOperator.trusted(
+        localizer_pencil(t, rep, lam.coords).at(lam.coords))
 
 
-def _smallest_signed_eigenvalue(q: HermitianOperator, accuracy: float) -> float:
-    """Smallest eigenvalue of a Hermitian (nominally PSD) matrix, signed."""
-    m = q.mat
-    n = q.dim
-    if (q.is_sparse and n > 512) or n > DENSE_EIGEN_CUTOFF:
-        from .operators import _eigsh_nearest_zero
-        val, _ = _eigsh_nearest_zero(m, accuracy)
-        return float(val)
-    md = m.toarray() if _is_sparse(m) else m
-    return float(np.linalg.eigvalsh(md).min())
+#: bytes a dense batch holds at once: a stack of composites handed to
+#: ``eigvalsh`` and the temporaries of its size that ``Pencil.values`` makes
+#: while assembling it (up to three)
+STACK_BYTES = 1 << 25
+
+
+def _spectra(stack: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix in a (k, n, n) stack,
+    by one ``eigvalsh`` call; a single matrix is a stack of one, so it gets
+    the same bytes as inside a larger stack.  If LAPACK fails on the stack,
+    its matrices are solved one by one and a failing one reads NaN."""
+    try:
+        return np.linalg.eigvalsh(stack)
+    except np.linalg.LinAlgError:
+        w = np.full(stack.shape[:2], np.nan)
+        for i in range(len(stack)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                w[i] = np.linalg.eigvalsh(stack[i:i + 1])[0]
+        return w
+
+
+def _quadratic_value(t, pencil, lam, w, vals, accuracy) -> float:
+    """mu^Q from Q's smallest eigenvalue w (nearest 0, for a sparse Q), with
+    the PSD clamp check and the unsquared re-evaluation of values too small
+    to trust."""
+    scale = max(1.0, float(np.linalg.norm(vals)))
+    if w < -NEGATIVE_EIG_TOL * scale:
+        raise NumericalFailure(f"Q eigenvalue {w:.3e} below the PSD clamp")
+    w = max(w, 0.0)
+    if w >= np.sqrt(np.finfo(float).eps) * scale:
+        return float(np.sqrt(w))
+    # low confidence: the eigen-error sum_j ||(X_j - lam_j) v||^2 at the
+    # minimizing eigenvector is accurate without squaring
+    m = pencil.matrix(vals)
+    if pencil.fmt == "dense":
+        v = np.linalg.eigh(m)[1][:, 0]
+    else:
+        _, ev = eigenpair_nearest_zero(m, accuracy, want_vector=True)
+        if ev is None:
+            return 0.0
+        v = ev[:, 0]
+    mu = float(np.sqrt(sum(np.linalg.norm(o.mat @ v - s * v) ** 2
+                           for o, s in zip(t.ops, lam))))
+    _LOG.info("low-confidence Q eigenvalue %.3e (scale %.3e) at %s: "
+              "mu^Q = %.6e from the eigen-error", w, scale, list(lam), mu)
+    return mu
+
+
+def gap_values(t: ObservableTuple, lams, kind: str,
+               rep: Optional[CliffordRep] = None,
+               accuracy: float = 1e-9) -> list:
+    """One gap per probe of a (k, d) array, through the model's pencil.
+
+    Dense composites are built and solved in chunks that fit in
+    ``STACK_BYTES``, by one ``eigvalsh`` call per chunk; sparse ones by
+    shift-invert per probe.  A cell that fails holds its NumericalFailure
+    instead of a value.  ``quadratic_gap`` and ``clifford_gap`` are this
+    function on a batch of one, so they return the same bytes as the
+    matching sweep cell.
+    """
+    if kind not in GAP_KINDS:
+        raise ParameterOutOfRange(f"kind must be one of {GAP_KINDS}")
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 2 or lams.shape[1] != t.d_total:
+        raise DimensionMismatch(
+            f"probe has {lams.shape[-1]} coordinates for a {t.d_total}-tuple")
+    if kind == "quadratic":
+        dim, pencil_at = t.dim, functools.partial(quadratic_pencil, t)
+    else:
+        rep = rep or build_clifford(t.d_total)
+        dim = t.dim * rep.rep_dim
+        pencil_at = functools.partial(localizer_pencil, t, rep)
+
+    def value(pencil, lam, row, w):
+        """The gap from the composite's signed eigenvalue w (None: solve
+        the sparse composite for it)."""
+        try:
+            if w is None:
+                w = float(eigenpair_nearest_zero(pencil.matrix(row),
+                                                 accuracy)[0][0])
+            elif np.isnan(w):
+                raise NumericalFailure("dense eigensolver did not converge",
+                                       details={"dim": dim})
+            return abs(w) if kind == "clifford" else \
+                _quadratic_value(t, pencil, lam, w, row, accuracy)
+        except NumericalFailure as exc:
+            return exc
+
+    if _solver_format(t, dim) != "dense":
+        out = []
+        for lam in lams:
+            pencil = pencil_at(lam)
+            out.append(value(pencil, lam, pencil.values(lam[None])[0], None))
+        return out
+    pencil = pencil_at(None)
+    chunk = max(1, STACK_BYTES // (4 * 16 * dim * dim))
+    out = []
+    for lo in range(0, len(lams), chunk):
+        part = lams[lo:lo + chunk]
+        vals = pencil.values(part)
+        w = _spectra(vals.reshape(-1, dim, dim))
+        # Q is PSD: its smallest eigenvalue, so the clamp check sees a
+        # negative one; L: the eigenvalue nearest 0
+        w = w[:, 0] if kind == "quadratic" else \
+            w[np.arange(len(w)), np.argmin(np.abs(w), axis=1)]
+        out.extend(value(pencil, lam, row, float(wi))
+                   for lam, row, wi in zip(part, vals, w))
+    return out
+
+
+def _single(t, lam, kind, rep, accuracy) -> float:
+    lam = _as_probe(lam)
+    _check_probe(t, lam)
+    value = gap_values(t, lam.coords[None], kind, rep, accuracy)[0]
+    if isinstance(value, NumericalFailure):
+        raise value
+    return value
 
 
 def quadratic_gap(t: ObservableTuple, lam, accuracy: float = 1e-9) -> float:
     """mu^Q at lam: square root of the smallest eigenvalue of Q_lam.
 
     Computed from the n x n eigenproblem for Q.  Squaring loses accuracy near
-    zero, so values below sqrt(machine eps) * ||Q|| are re-verified through
-    the SVD of the tall composite.
+    zero, so values below sqrt(machine eps) * ||Q||_F are recomputed as the
+    eigen-error (sum_j ||(X_j - lam_j) v||^2)^(1/2) at Q's minimizing
+    eigenvector v.
     """
-    lam = _as_probe(lam)
-    q = quadratic_operator(t, lam)
-    val = _smallest_signed_eigenvalue(q, accuracy)
-    scale = max(1.0, _fro_norm(q.mat))
-    if val < -NEGATIVE_EIG_TOL * scale:
-        raise NumericalFailure(f"Q eigenvalue {val:.3e} below the PSD clamp")
-    val = max(val, 0.0)
-    if val < np.sqrt(np.finfo(float).eps) * scale:
-        # low confidence: the unsquared route is accurate near zero
-        return smallest_singular_value(tall_composite(t, lam), accuracy=accuracy)
-    return float(np.sqrt(val))
+    return _single(t, lam, "quadratic", None, accuracy)
 
 
 def clifford_gap(t: ObservableTuple, lam, rep: CliffordRep,
                  accuracy: float = 1e-9) -> float:
     """mu^C at lam: smallest absolute eigenvalue of the localizer."""
-    return float(smallest_abs_eigenvalue(localizer(t, lam, rep), accuracy=accuracy))
+    return _single(t, lam, "clifford", rep, accuracy)
 
 
 def commutator_bound(t: ObservableTuple) -> float:
@@ -292,22 +590,24 @@ def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
     preferred basis.
     """
     lam = _as_probe(lam)
-    q = quadratic_operator(t, lam)
-    m = q.mat
-    n = q.dim
-    if q.is_sparse and n > 512 or n > DENSE_EIGEN_CUTOFF:
-        import scipy.sparse.linalg as spla
-        ms = m.tocsc() if _is_sparse(m) else sp.csc_matrix(m)
+    _check_probe(t, lam)
+    pencil = quadratic_pencil(t, lam.coords)
+    m = pencil.at(lam.coords)
+    w = v = None
+    if pencil.fmt != "dense":
         try:
-            w, v = spla.eigsh(ms, k=2, sigma=0, which="LM", tol=accuracy)
-        except Exception as exc:  # singular / no convergence: dense fallback
-            if n > DENSE_EIGEN_CUTOFF:
+            w, v = eigenpair_nearest_zero(m, accuracy, k=2, want_vector=True)
+            reason = "singular Q"
+        except NumericalFailure as exc:
+            reason = str(exc)
+        if v is None:
+            if pencil.dim > DENSE_EIGEN_CUTOFF:
                 raise NumericalFailure("sparse minimizing-state solve failed",
-                                       details={"exc": str(exc)}) from exc
-            w, v = np.linalg.eigh(m.toarray() if _is_sparse(m) else m)
-        order = np.argsort(np.abs(w))
-        w, v = w[order], v[:, order]
-    else:
+                                       details={"reason": reason})
+            _LOG.warning("minimizing state at %s: sparse solve failed (%s); "
+                         "dense eigendecomposition used", list(lam.coords),
+                         reason)
+    if v is None:
         w, v = np.linalg.eigh(m.toarray() if _is_sparse(m) else m)
     vec = v[:, 0]
     scale = max(1.0, _fro_norm(m))

@@ -8,6 +8,8 @@ variance functionals of unit states.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -18,11 +20,18 @@ from .errors import (
     DimensionMismatch,
     InvalidOperator,
     NumericalFailure,
+    ParameterOutOfRange,
 )
 
 HERMITICITY_RTOL = 1e-12
-#: largest total dimension for which dense eigensolvers are the default
+#: largest dimension of a sparse matrix that is still solved densely
+SPARSE_EIGEN_CUTOFF = 512
+#: largest dimension of a dense matrix that is solved densely
 DENSE_EIGEN_CUTOFF = 4096
+#: seed of the ARPACK start vectors, so repeated solves give identical bytes
+START_VECTOR_SEED = 20220421
+
+_LOG = logging.getLogger("jointspec")
 
 __all__ = [
     "HermitianOperator",
@@ -34,6 +43,9 @@ __all__ = [
     "variance_sq",
     "eigen_error",
     "overlap_bound_check",
+    "solves_densely",
+    "start_vector",
+    "eigenpair_nearest_zero",
 ]
 
 
@@ -108,6 +120,14 @@ class HermitianOperator:
         if _is_sparse(m):
             m = m.tocsr()
         self._mat = m
+
+    @classmethod
+    def trusted(cls, matrix) -> "HermitianOperator":
+        """Wrap a matrix that is Hermitian by construction, without copying
+        or re-checking it (composites assembled from validated parts)."""
+        op = cls.__new__(cls)
+        op._mat = matrix
+        return op
 
     @property
     def mat(self):
@@ -184,6 +204,23 @@ def _check_dims(a: HermitianOperator, v: StateVector):
 # spectral primitives
 
 
+def solves_densely(dim: int, sparse: bool) -> bool:
+    """The one dense/sparse decision: LAPACK for dense matrices up to
+    ``DENSE_EIGEN_CUTOFF`` and sparse ones up to ``SPARSE_EIGEN_CUTOFF``,
+    shift-invert ARPACK above."""
+    return dim <= (SPARSE_EIGEN_CUTOFF if sparse else DENSE_EIGEN_CUTOFF)
+
+
+def start_vector(n: int) -> np.ndarray:
+    """Fixed-seed random ARPACK start vector of length n.
+
+    ARPACK's own start vector comes from a generator that advances with every
+    call, so repeated solves would differ in the last bits.  A structured
+    vector (all ones, say) can be orthogonal to the wanted eigenvector.
+    """
+    return np.random.default_rng(START_VECTOR_SEED).standard_normal(n)
+
+
 def operator_norm(a) -> float:
     """Largest singular value of `a` (HermitianOperator, ndarray or sparse)."""
     m = _as_matrix(a)
@@ -197,7 +234,7 @@ def operator_norm(a) -> float:
             return 0.0
         try:
             s = spla.svds(m, k=1, which="LM", return_singular_vectors=False,
-                          maxiter=5000)
+                          maxiter=5000, v0=start_vector(min(m.shape)))
         except ArpackNoConvergence as exc:
             raise NumericalFailure("svds failed to converge for operator norm",
                                    details={"exc": str(exc)}) from exc
@@ -207,86 +244,80 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def _sigma_min_dense(m: np.ndarray) -> float:
-    if min(m.shape) == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
+def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1,
+                           want_vector: bool = False):
+    """The k eigenvalues of Hermitian `m` nearest 0 by shift-invert ARPACK.
 
-
-def _augmented(m):
-    """Hermitian [[0, A^dag], [A, 0]] whose |eigenvalues| are singular values."""
-    p, n = m.shape
-    if _is_sparse(m):
-        return sp.bmat([[None, m.conj().T], [m, None]], format="csr")
-    top = np.hstack([np.zeros((n, n), complex), m.conj().T])
-    bot = np.hstack([m, np.zeros((p, p), complex)])
-    return np.vstack([top, bot])
-
-
-def _eigsh_nearest_zero(m, accuracy: float, want_vector: bool = False):
-    """Eigenvalue of Hermitian `m` nearest 0 via shift-invert.
-
-    Returns (value, vector-or-None).  An exactly singular factorization means
-    0 is an eigenvalue; in that case a tiny complex shift is retried before
-    falling back to 0.
+    Returns ``(values, vectors)`` sorted by distance from 0, ``vectors``
+    None unless ``want_vector``; the start vector is fixed.  A singular
+    factorization means 0 is an eigenvalue: a tiny jittered shift is
+    retried, and if that factorization is singular too the result is
+    ``(zeros, None)``.  Both events are logged.
     """
-    ms = m.tocsc() if _is_sparse(m) else sp.csc_matrix(m)
-    for sigma in (0.0, 1e-10 * max(1.0, _norm_upper_bound(ms))):
+    ms = m if _is_sparse(m) and m.format == "csc" else sp.csc_matrix(m)
+    n = ms.shape[0]
+    v0 = start_vector(n)
+    for attempt in range(2):
+        sigma = 1e-10 * max(1.0, _norm_upper_bound(ms)) if attempt else 0.0
         try:
-            if want_vector:
-                w, v = spla.eigsh(ms, k=1, sigma=sigma, which="LM", tol=accuracy)
-                return float(w[0]), v[:, 0]
-            w = spla.eigsh(ms, k=1, sigma=sigma, which="LM", tol=accuracy,
-                           return_eigenvectors=False)
-            return float(w[0]), None
+            res = spla.eigsh(ms, k=k, sigma=sigma, which="LM", tol=accuracy,
+                             v0=v0, return_eigenvectors=want_vector)
         except ArpackNoConvergence as exc:
             raise NumericalFailure(
                 "shift-invert eigsh failed to converge",
-                details={"dim": ms.shape[0], "sigma": sigma, "exc": str(exc)},
+                details={"dim": n, "sigma": sigma, "exc": str(exc)},
             ) from exc
-        except RuntimeError:
-            # singular factorization: retry with the jittered shift
+        except RuntimeError as exc:
+            _LOG.info("singular factorization at shift %.3g (dim %d): %s",
+                      sigma, n, exc)
             continue
-    # matrix is singular to working precision
-    return 0.0, None
+        w, v = res if want_vector else (res, None)
+        order = np.argsort(np.abs(w))
+        return w[order], (v[:, order] if want_vector else None)
+    _LOG.info("matrix of dim %d is singular to working precision; "
+              "nearest-zero eigenvalue reported as 0", n)
+    return np.zeros(k), None
 
 
 def smallest_singular_value(a, accuracy: float = 1e-9) -> float:
-    """sigma_min(A) = min over unit v of ||A v||, for rectangular A."""
+    """sigma_min(A) = min over unit v of ||A v||, for rectangular A, by dense
+    SVD.  Sparse inputs larger than ``DENSE_EIGEN_CUTOFF`` are refused: use
+    ``quadratic_gap`` for tall composites."""
     m = _as_matrix(a)
     _check_finite(m)
-    if _is_sparse(m) and max(m.shape) > DENSE_EIGEN_CUTOFF:
-        val, _ = _eigsh_nearest_zero(_augmented(m), accuracy)
-        return abs(val)
     if _is_sparse(m):
+        if max(m.shape) > DENSE_EIGEN_CUTOFF:
+            raise ParameterOutOfRange(
+                f"sparse {m.shape[0]}x{m.shape[1]} matrix is too large for the "
+                "dense SVD")
         m = m.toarray()
-    return _sigma_min_dense(np.asarray(m, dtype=complex))
+    m = np.asarray(m, dtype=complex)
+    if min(m.shape) == 0:
+        return 0.0
+    return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
 def smallest_abs_eigenvalue(a, accuracy: float = 1e-9,
                             want_vector: bool = False):
     """Smallest |eigenvalue| of a Hermitian matrix.
 
-    Dense eigendecomposition up to dimension ``DENSE_EIGEN_CUTOFF``; above
-    that (or for sparse inputs over ~512) a shift-invert iteration at shift 0.
+    Dense LAPACK or shift-invert ARPACK at 0, as ``solves_densely`` decides.
     With ``want_vector=True`` returns ``(value, eigenvector)``.
     """
     m = _as_matrix(a)
     _check_finite(m)
     n = m.shape[0]
-    use_iterative = (_is_sparse(m) and n > 512) or n > DENSE_EIGEN_CUTOFF
-    if use_iterative:
-        val, vec = _eigsh_nearest_zero(m, accuracy, want_vector=want_vector)
-        if want_vector and vec is None:
-            # singular case: recover a null vector densely if feasible
-            if n <= DENSE_EIGEN_CUTOFF:
-                md = m.toarray() if _is_sparse(m) else m
-                w, v = np.linalg.eigh(md)
-                i = int(np.argmin(np.abs(w)))
-                return abs(float(w[i])), v[:, i]
+    if not solves_densely(n, _is_sparse(m)):
+        w, v = eigenpair_nearest_zero(m, accuracy, want_vector=want_vector)
+        if not want_vector:
+            return abs(float(w[0]))
+        if v is not None:
+            return abs(float(w[0])), v[:, 0]
+        if n > DENSE_EIGEN_CUTOFF:
             raise NumericalFailure("singular matrix: null vector not recovered",
                                    details={"dim": n})
-        return (abs(val), vec) if want_vector else abs(val)
+        _LOG.info("singular matrix of dim %d: null vector from a dense "
+                  "eigendecomposition", n)
     md = m.toarray() if _is_sparse(m) else np.asarray(m, dtype=complex)
     if want_vector:
         w, v = np.linalg.eigh(md)

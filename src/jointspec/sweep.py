@@ -1,11 +1,13 @@
 """Grid sweeps of the gap functions, spectral flow along model paths, and
 epsilon-level masks, with CSV / PGM / JSON serialization.
 
-Determinism contract: a sweep writes each cell into its own slot, so the
-result is identical for any worker count.  With Lipschitz pruning enabled the
-sweep runs sequentially in serpentine order and skips a cell only when an
-already-established lower bound proves its value exceeds the threshold, so
-every cell of the epsilon-set is still evaluated exactly.
+Determinism contract: a sweep runs in one thread and every cell's value
+comes from the model's composite pencil with a fixed solver start, so a cell
+has the same bytes in any sweep and in a standalone gap call.  Dense
+composites are solved one grid row at a time by a stacked ``eigvalsh``.
+With Lipschitz pruning enabled the sweep runs in serpentine order and skips
+a cell only when an already-established lower bound proves its value exceeds
+the threshold, so every cell of the epsilon-set is still evaluated exactly.
 """
 
 from __future__ import annotations
@@ -13,18 +15,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .clifford import CliffordRep, build_clifford
-from .composites import (ObservableTuple, ProbePoint, clifford_gap,
-                         localizer, quadratic_gap, quadratic_operator,
-                         reduced_localizer)
+from .composites import (GAP_KINDS, ObservableTuple, ProbePoint, gap_values,
+                         localizer, quadratic_operator, reduced_localizer)
 from .errors import (ChiralSymmetryViolation, DimensionMismatch,
                      NumericalFailure, ParameterOutOfRange)
+from .models import ssh_grading
 from .operators import HermitianOperator
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "epsilon_mask",
 ]
 
-GAP_KINDS = ("quadratic", "clifford")
 FLOW_KINDS = ("quadratic_sqrt", "localizer", "reduced_localizer")
 
 
@@ -99,12 +99,17 @@ class GridSpec:
         return swept
 
     def probe(self, d_total: int, index: tuple) -> ProbePoint:
-        coords = np.empty(d_total)
+        return ProbePoint(self.probe_coords(d_total, [index])[0])
+
+    def probe_coords(self, d_total: int, indices) -> np.ndarray:
+        """(k, d_total) probe coordinates of k cells."""
+        coords = np.empty((len(indices), d_total))
         for k, v in self.fixed_coords.items():
-            coords[k] = v
+            coords[:, k] = v
+        idx = np.asarray(indices).reshape(len(indices), -1)
         for ax, j in enumerate(self.swept_indices(d_total)):
-            coords[j] = self.points(ax)[index[ax]]
-        return ProbePoint(coords)
+            coords[:, j] = self.points(ax)[idx[:, ax]]
+        return coords
 
 
 @dataclass
@@ -201,13 +206,6 @@ class SpectralFlowTable:
 # sweeps
 
 
-def _cell_value(t, spec, kind, rep, accuracy, d, index):
-    lam = spec.probe(d, index)
-    if kind == "quadratic":
-        return quadratic_gap(t, lam, accuracy=accuracy)
-    return clifford_gap(t, lam, rep, accuracy=accuracy)
-
-
 def _serpentine(shape):
     """Row-major order with every other row reversed, with the previously
     visited in-row neighbor's index (or None at row starts)."""
@@ -228,7 +226,12 @@ def sweep_grid(t: ObservableTuple, spec: GridSpec, kind: str,
                rep: Optional[CliffordRep] = None,
                pruning: Optional[float] = None,
                accuracy: float = 1e-9, workers: int = 1) -> GapGrid:
-    """Evaluate one gap function over the grid.
+    """Evaluate one gap function over the grid, in one thread.
+
+    Dense composites are solved a grid row at a time by one stacked
+    ``eigvalsh``; sparse ones by shift-invert cell by cell.  ``workers`` is
+    accepted for compatibility and starts no threads: threads lost to a
+    single one on every measured model.
 
     ``pruning`` activates Lipschitz skipping at the given epsilon: both gap
     functions are 1-Lipschitz in the probe, so a neighbor value v at distance
@@ -252,24 +255,21 @@ def sweep_grid(t: ObservableTuple, spec: GridSpec, kind: str,
     all_names = tuple(t.meta.get("axis_names", [f"axis{i}" for i in range(d)]))
     axis_names = tuple(all_names[j] for j in swept)
 
-    def evaluate(index):
-        try:
-            return _cell_value(t, spec, kind, rep, accuracy, d, index)
-        except NumericalFailure as exc:
-            failures.append({"index": list(index),
-                             "lam": spec.probe(d, index).coords.tolist(),
-                             "error": str(exc)})
-            return np.nan
+    def evaluate(indices):
+        coords = spec.probe_coords(d, indices)
+        out = gap_values(t, coords, kind, rep, accuracy)
+        for index, lam, val in zip(indices, coords, out):
+            if isinstance(val, NumericalFailure):
+                failures.append({"index": list(index), "lam": lam.tolist(),
+                                 "error": str(val)})
+                val = np.nan
+            values[index] = val
 
     if pruning is None:
-        indices = list(np.ndindex(*shape))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(evaluate, indices))
-        else:
-            results = [evaluate(ix) for ix in indices]
-        for ix, val in zip(indices, results):
-            values[ix] = val
+        rows = [list(np.ndindex(*shape))] if len(shape) == 1 else \
+            [[(i, j) for j in range(shape[1])] for i in range(shape[0])]
+        for row in rows:
+            evaluate(row)
     else:
         eps = float(pruning)
         if eps < 0:
@@ -286,10 +286,10 @@ def sweep_grid(t: ObservableTuple, spec: GridSpec, kind: str,
                 skipped[index] = True
                 bound[index] = cand
             else:
-                val = evaluate(index)
-                values[index] = val
-                if np.isfinite(val):
-                    bound[index] = val
+                evaluate([index])
+                if np.isfinite(values[index]):
+                    bound[index] = values[index]
+    failures.sort(key=lambda f: f["index"])
     return GapGrid(spec=spec, values=values, kind=kind,
                    model_fingerprint=fingerprint, skipped_mask=skipped,
                    axis_names=axis_names, failures=failures)
@@ -308,12 +308,6 @@ def epsilon_mask(grid: GapGrid, epsilon: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # spectral flow
-
-
-def _chiral_grading(t: ObservableTuple) -> HermitianOperator:
-    n = t.dim
-    g = np.diag([1.0 if i % 2 == 0 else -1.0 for i in range(n)]).astype(complex)
-    return HermitianOperator(g, copy=False)
 
 
 def spectral_flow(path: Callable[[float], ObservableTuple], lam,
@@ -352,7 +346,7 @@ def spectral_flow(path: Callable[[float], ObservableTuple], lam,
             if lam_arr.size > 1 and lam_arr[1] != 0.0:
                 h = HermitianOperator(h.dense() - lam_arr[1] * np.eye(h.dim),
                                       copy=False)
-            g = grading if grading is not None else _chiral_grading(model)
+            g = grading if grading is not None else ssh_grading(model.dim)
             red = reduced_localizer(x, h, float(lam_arr[0]), g)
             eigs = np.linalg.eigvals(red)
             scale = max(1.0, float(np.abs(eigs).max()))

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .composites import ObservableTuple, _as_probe, quadratic_gap
+from .composites import ObservableTuple, quadratic_gap, shifted_observables
 from .errors import (CTooLarge, DimensionMismatch, EmptyBall,
                      ParameterOutOfRange, ZNotInvertible)
 from .operators import HermitianOperator, _is_sparse, operator_norm
@@ -76,20 +76,8 @@ class TruncationCertificate:
 
 def shift_to_origin(t: ObservableTuple, lam) -> ObservableTuple:
     """Subtract lam_j from every observable, moving the probe to zero."""
-    lam = _as_probe(lam)
-    if lam.d != t.d_total:
-        raise DimensionMismatch(
-            f"probe has {lam.d} coordinates for a {t.d_total}-tuple")
-    ops = []
-    for o, s in zip(t.ops, lam.coords):
-        if s == 0.0:
-            ops.append(o)
-        elif o.is_sparse:
-            ops.append(HermitianOperator(
-                (o.mat - s * sp.identity(o.dim, format="csr")).tocsr(), copy=False))
-        else:
-            ops.append(HermitianOperator(o.mat - s * np.eye(o.dim), copy=False))
-    return ObservableTuple(ops, commuting_prefix=t.commuting_prefix, meta=t.meta)
+    return ObservableTuple(shifted_observables(t, lam),
+                           commuting_prefix=t.commuting_prefix, meta=t.meta)
 
 
 def _position_block(t: ObservableTuple):

@@ -170,3 +170,14 @@ def test_atomic_write_leaves_no_temp(tmp_path, capsys):
                      "--csv-out", str(target))
     assert code == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv"]
+
+
+def test_sweep_with_no_finite_cell_is_numerical_failure(capsys, monkeypatch):
+    def failing(stack):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    code, _, err = run(capsys, "sweep", "--model", "ssh",
+                       "--grid", "x=0:9:4,E=-1:1:3")
+    assert code == 3
+    assert "numerical failure" in err

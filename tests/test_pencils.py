@@ -1,0 +1,242 @@
+"""Composite pencils, the dense/sparse cutoffs and solver determinism."""
+
+import logging
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import jointspec.composites as composites
+import jointspec.operators as operators
+from jointspec.clifford import build_clifford
+from jointspec.composites import (ObservableTuple, clifford_gap,
+                                  localizer_pencil, quadratic_gap,
+                                  quadratic_pencil)
+from jointspec.errors import NumericalFailure
+from jointspec.models import build_chern2d, build_ssh, scale_positions
+from jointspec.operators import (HermitianOperator, smallest_abs_eigenvalue,
+                                 solves_densely)
+from jointspec.sweep import GridSpec, sweep_grid
+
+
+def direct_q(t, lam):
+    """Q_lam assembled densely from its definition."""
+    q = 0
+    for o, s in zip(t.ops, lam):
+        m = o.dense() - s * np.eye(t.dim)
+        q = q + m @ m
+    return q
+
+
+def direct_l(t, lam, rep):
+    """L_lam assembled densely from its definition."""
+    return sum(np.kron(o.dense() - s * np.eye(t.dim), g)
+               for o, s, g in zip(t.ops, lam, rep.gammas))
+
+
+def sparse_pair(n, seed):
+    """Diagonal position and a sparse banded Hamiltonian, stored sparse."""
+    r = np.random.default_rng(seed)
+    x = sp.diags(np.linspace(-3.0, 3.0, n)).tocsr()
+    off = r.standard_normal(n - 1) + 1j * r.standard_normal(n - 1)
+    h = sp.diags([off, r.standard_normal(n), off.conj()], [1, 0, -1]).tocsr()
+    return ObservableTuple([x, h], commuting_prefix=1)
+
+
+def dense_tuple(n, seed):
+    r = np.random.default_rng(seed)
+    x = np.diag(np.linspace(-2.0, 2.0, n))
+    a = r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))
+    return ObservableTuple([x, (a + a.conj().T) / 2], commuting_prefix=1)
+
+
+# -- cutoffs ------------------------------------------------------------------
+
+
+def test_cutoff_decision_at_both_constants():
+    assert solves_densely(512, sparse=True)
+    assert not solves_densely(513, sparse=True)
+    assert solves_densely(4096, sparse=False)
+    assert not solves_densely(4097, sparse=False)
+
+
+@pytest.mark.parametrize("n,fmt", [(512, "dense"), (513, "csc")])
+def test_quadratic_both_sides_of_sparse_cutoff(n, fmt):
+    t = sparse_pair(n, seed=n)
+    lam = [0.37, 0.21]
+    assert quadratic_pencil(t, lam).fmt == fmt
+    ref = np.sqrt(np.linalg.eigvalsh(direct_q(t, lam)).min())
+    assert abs(quadratic_gap(t, lam) - ref) <= 1e-9
+
+
+@pytest.mark.parametrize("n,fmt", [(256, "dense"), (257, "csc")])
+def test_clifford_both_sides_of_sparse_cutoff(n, fmt):
+    t = sparse_pair(n, seed=n)
+    rep = build_clifford(2)
+    lam = [0.37, 0.21]
+    assert localizer_pencil(t, rep, lam).fmt == fmt
+    ref = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
+    assert abs(clifford_gap(t, lam, rep) - ref) <= 1e-9
+
+
+@pytest.mark.parametrize("n,fmt", [(32, "dense"), (33, "csc")])
+def test_both_sides_of_dense_cutoff(monkeypatch, n, fmt):
+    # A dense composite at the real cutoff is a 4096 x 4096 complex matrix
+    # (268 MB per copy), so the boundary is moved to 64 and crossed by L
+    # (dim 64 or 66); the decision at 4096 itself is tested above.
+    monkeypatch.setattr(operators, "DENSE_EIGEN_CUTOFF", 64)
+    t = dense_tuple(n, seed=n)
+    rep = build_clifford(2)
+    lam = [0.3, -0.1]
+    assert localizer_pencil(t, rep, lam).fmt == fmt
+    ref = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
+    assert abs(clifford_gap(t, lam, rep) - ref) <= 1e-9
+
+
+# -- pencils -----------------------------------------------------------------
+
+
+def test_pencil_matches_direct_assembly():
+    t = scale_positions(build_chern2d(4, 4), 0.5)
+    rep = build_clifford(3)
+    for lam in ([0.3, -0.2, 0.1], [0.0, 0.0, 0.0], [1.1, 0.4, -0.7]):
+        q = quadratic_pencil(t, lam).at(lam)
+        ell = localizer_pencil(t, rep, lam).at(lam)
+        np.testing.assert_allclose(q, direct_q(t, lam), atol=1e-13)
+        np.testing.assert_allclose(ell, direct_l(t, lam, rep), atol=1e-14)
+
+
+def test_pencil_calls_never_share_values():
+    t = build_chern2d(17, 17)  # Q dim 578: sparse, sharing one pattern
+    pencil = quadratic_pencil(t, [0.5, 0.5, 0.5])
+    assert pencil.fmt == "csc"
+    first = pencil.at([0.5, 0.5, 0.5])
+    kept = first.copy()
+    pencil.at([1.5, -0.5, 0.5])
+    assert (first != kept).nnz == 0
+
+
+def test_sweep_builds_no_operator_per_cell(monkeypatch):
+    calls = []
+    init = HermitianOperator.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    counts = []
+    for cells in (5, 11):
+        t = build_ssh(4, 0.7, 1.4)
+        spec = GridSpec(axes=((0.0, 9.0, cells), (-3.0, 3.0, cells)))
+        monkeypatch.setattr(HermitianOperator, "__init__", counting)
+        calls.clear()
+        for kind in ("quadratic", "clifford"):
+            sweep_grid(t, spec, kind)
+        monkeypatch.setattr(HermitianOperator, "__init__", init)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
+
+
+def test_dense_batch_holds_one_stack_at_a_time(monkeypatch):
+    # 40 probes of a 200 x 200 dense Q are 25.6 MB of composites, and their
+    # assembly makes temporaries of the same size; an 8 MB budget takes
+    # three probes at a time
+    stack = 8 << 20
+    monkeypatch.setattr(composites, "STACK_BYTES", stack)
+    t = dense_tuple(200, seed=5)
+    assert quadratic_pencil(t).fmt == "dense"
+    lams = np.column_stack([np.linspace(-1.0, 1.0, 40), np.zeros(40)])
+    tracemalloc.start()
+    try:
+        values = composites.gap_values(t, lams, "quadratic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(v, Exception) for v in values)
+    assert peak <= stack + (1 << 20)
+
+
+def test_negative_q_eigenvalue_fails_when_another_is_nearer_zero(monkeypatch):
+    # planted Q spectrum (-1, 1e-3, 5): the eigenvalue nearest 0 would pass
+    # the PSD clamp, the smallest one must not
+    t = dense_tuple(3, seed=1)
+    planted = np.diag([-1.0, 1e-3, 5.0]).astype(complex).ravel()
+    monkeypatch.setattr(composites.Pencil, "values",
+                        lambda self, lams: np.tile(planted, (len(lams), 1)))
+    with pytest.raises(NumericalFailure, match="PSD clamp"):
+        quadratic_gap(t, [0.1, 0.2])
+
+
+# -- determinism -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("nx", [4, 17])
+def test_standalone_call_equals_sweep_cell(nx):
+    # 4x4: both composites dense; 17x17: Q (578) and L (1156) sparse
+    t = scale_positions(build_chern2d(nx, nx), 0.5)
+    rep = build_clifford(3)
+    spec = GridSpec(axes=((-2.0, 2.0, 3),), fixed_coords={1: 0.25, 2: 0.5})
+    for kind, single in (("quadratic", lambda lam: quadratic_gap(t, lam)),
+                         ("clifford", lambda lam: clifford_gap(t, lam, rep))):
+        grid = sweep_grid(t, spec, kind, rep=rep)
+        for i in range(3):
+            lam = spec.probe(3, (i,)).coords
+            assert single(lam) == grid.values[i]
+
+
+def test_sparse_sweep_repeats_bitwise():
+    t = scale_positions(build_chern2d(12, 12), 0.5)  # L dim 576 > 512
+    rep = build_clifford(3)
+    assert localizer_pencil(t, rep).fmt == "csc"
+    spec = GridSpec(axes=((-3.25, 3.25, 6),), fixed_coords={1: 0.0, 2: 0.0})
+    a = sweep_grid(t, spec, "clifford", rep=rep)
+    b = sweep_grid(t, spec, "clifford", rep=rep)
+    assert a.values.tobytes() == b.values.tobytes()
+    lam = spec.probe(3, (2,)).coords
+    assert clifford_gap(t, lam, rep) == a.values[2]
+
+
+# -- low-confidence quadratic gap and logging --------------------------------
+
+
+def test_low_confidence_mu_q_on_tall_sparse_composite(caplog):
+    # d*n = 4200 > 4096 with a true gap of 0.01: the squared eigenvalue 1e-4
+    # lies below sqrt(eps) * ||Q||_F, so the unsquared eigen-error is used
+    n = 2100
+    xs = np.linspace(-1000.0, 1000.0, n)
+    hs = np.cos(np.arange(n))
+    t = ObservableTuple([sp.diags(xs).tocsr(), sp.diags(hs).tocsr()],
+                        commuting_prefix=2)
+    lam = [xs[700] + 0.006, hs[700] - 0.008]
+    with caplog.at_level(logging.INFO, logger="jointspec"):
+        mu = quadratic_gap(t, lam)
+    assert abs(mu - 0.01) <= 1e-10
+    assert any("low-confidence" in r.getMessage() for r in caplog.records)
+
+
+def test_singular_matrix_path_is_logged(caplog):
+    diag = np.linspace(-1.0, 1.0, 601)  # exact zero in the middle
+    m = sp.diags(diag).tocsr()
+    with caplog.at_level(logging.INFO, logger="jointspec"):
+        val = smallest_abs_eigenvalue(m)
+    assert val <= 1e-8
+    messages = [r.getMessage() for r in caplog.records]
+    assert any("singular factorization" in msg for msg in messages)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="jointspec"):
+        assert smallest_abs_eigenvalue(m) == val  # logging leaves the value
+
+
+def test_minimizing_state_dense_fallback_is_logged(caplog, monkeypatch):
+    t = sparse_pair(600, seed=3)
+
+    def failing(*args, **kwargs):
+        raise NumericalFailure("no convergence")
+
+    monkeypatch.setattr(composites, "eigenpair_nearest_zero", failing)
+    with caplog.at_level(logging.WARNING, logger="jointspec"):
+        state, _ = composites.minimizing_state(t, [0.2, 0.1])
+    assert state.dim == 600
+    assert any("dense eigendecomposition" in r.getMessage()
+               for r in caplog.records)

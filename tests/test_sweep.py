@@ -163,3 +163,16 @@ def test_spectral_flow_reduced_real_and_csv(tmp_path):
 def test_spectral_flow_bad_kind():
     with pytest.raises(ParameterOutOfRange):
         spectral_flow(build_ssh_path, [4.0, 0.0], [0.0], "bogus")
+
+
+def test_failures_sorted_by_index(monkeypatch):
+    def failing(stack):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    # pruned sweeps visit odd rows right to left
+    grid = small_ssh_grid("clifford", pruning=0.3)
+    indices = [f["index"] for f in grid.failures]
+    assert len(indices) == grid.values.size
+    assert indices == sorted(indices)
+    assert np.isnan(grid.values).all()
