@@ -69,6 +69,7 @@ __all__ = [
     "commutator_bound",
     "commutator_bound_2d",
     "minimizing_state",
+    "minimizing_state_and_gap",
     "reduced_localizer",
     "determinant_sign_index",
     "verify_symmetry",
@@ -365,8 +366,6 @@ class GapResult:
     mu_q: Optional[float] = None
     mu_c: Optional[float] = None
     commutator_bound: Optional[float] = None
-    minimizing_state: Optional[StateVector] = None
-    degenerate: bool = False
 
 
 def _as_probe(lam) -> ProbePoint:
@@ -424,10 +423,11 @@ def _spectra(stack: np.ndarray) -> np.ndarray:
         return w
 
 
-def _quadratic_value(t, pencil, lam, w, vals, accuracy) -> float:
+def _quadratic_value(t, pencil, lam, w, vals, v) -> float:
     """mu^Q from Q's smallest eigenvalue w (nearest 0, for a sparse Q), with
     the PSD clamp check and the unsquared re-evaluation of values too small
-    to trust."""
+    to trust.  ``v`` is w's eigenvector if the solve gave one; a sparse Q
+    without one was singular."""
     scale = max(1.0, float(np.linalg.norm(vals)))
     if w < -NEGATIVE_EIG_TOL * scale:
         raise NumericalFailure(f"Q eigenvalue {w:.3e} below the PSD clamp")
@@ -436,14 +436,10 @@ def _quadratic_value(t, pencil, lam, w, vals, accuracy) -> float:
         return float(np.sqrt(w))
     # low confidence: the eigen-error sum_j ||(X_j - lam_j) v||^2 at the
     # minimizing eigenvector is accurate without squaring
-    m = pencil.matrix(vals)
-    if pencil.fmt == "dense":
-        v = np.linalg.eigh(m)[1][:, 0]
-    else:
-        _, ev = eigenpair_nearest_zero(m, accuracy, want_vector=True)
-        if ev is None:
+    if v is None:
+        if pencil.fmt != "dense":
             return 0.0
-        v = ev[:, 0]
+        v = np.linalg.eigh(pencil.matrix(vals))[1][:, 0]
     mu = float(np.sqrt(sum(np.linalg.norm(o.mat @ v - s * v) ** 2
                            for o, s in zip(t.ops, lam))))
     _LOG.info("low-confidence Q eigenvalue %.3e (scale %.3e) at %s: "
@@ -478,16 +474,17 @@ def gap_values(t: ObservableTuple, lams, kind: str,
 
     def value(pencil, lam, row, w):
         """The gap from the composite's signed eigenvalue w (None: solve
-        the sparse composite for it)."""
+        the sparse composite for it and its eigenvector)."""
+        v = None
         try:
             if w is None:
-                w = float(eigenpair_nearest_zero(pencil.matrix(row),
-                                                 accuracy)[0][0])
+                w, v = eigenpair_nearest_zero(pencil.matrix(row), accuracy)
+                w, v = float(w[0]), None if v is None else v[:, 0]
             elif np.isnan(w):
                 raise NumericalFailure("dense eigensolver did not converge",
                                        details={"dim": dim})
             return abs(w) if kind == "clifford" else \
-                _quadratic_value(t, pencil, lam, w, row, accuracy)
+                _quadratic_value(t, pencil, lam, w, row, v)
         except NumericalFailure as exc:
             return exc
 
@@ -581,22 +578,17 @@ def gap_pair_with_bound(t: ObservableTuple, lam, rep: CliffordRep,
 DEGENERACY_TOL = 1e-8
 
 
-def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
-    """Unit eigenvector of Q_lam for its smallest eigenvalue.
-
-    Returns ``(state, degenerate)``; ``degenerate`` is set when the second
-    eigenvalue lies within 1e-8 of the smallest.  The solver's eigenvector is
-    returned as-is (no canonical phase), since a degenerate minimum has no
-    preferred basis.
-    """
-    lam = _as_probe(lam)
+def _lowest_eigenpairs(t: ObservableTuple, lam: ProbePoint, accuracy):
+    """Q_lam's pencil and values, and its two lowest eigenpairs (all of
+    them for a dense Q) from one residual-checked solve."""
     _check_probe(t, lam)
     pencil = quadratic_pencil(t, lam.coords)
-    m = pencil.at(lam.coords)
+    vals = pencil.values(lam.coords[None])[0]
+    m = pencil.matrix(vals)
     w = v = None
     if pencil.fmt != "dense":
         try:
-            w, v = eigenpair_nearest_zero(m, accuracy, k=2, want_vector=True)
+            w, v = eigenpair_nearest_zero(m, accuracy, k=2)
             reason = "singular Q"
         except NumericalFailure as exc:
             reason = str(exc)
@@ -614,8 +606,39 @@ def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
     resid = np.linalg.norm(m @ vec - w[0] * vec)
     if resid > 1e-8 * scale:
         raise NumericalFailure(f"minimizing state residual {resid:.3e} too large")
+    return pencil, vals, w, v
+
+
+def _state(w, v):
+    """The minimizing state and its degeneracy flag."""
     degenerate = len(w) > 1 and abs(w[1] - w[0]) <= DEGENERACY_TOL * max(1.0, abs(w[0]))
-    return StateVector(vec, normalize=True), bool(degenerate)
+    return StateVector(v[:, 0], normalize=True), bool(degenerate)
+
+
+def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
+    """Unit eigenvector of Q_lam for its smallest eigenvalue.
+
+    Returns ``(state, degenerate)``; ``degenerate`` is set when the second
+    eigenvalue lies within 1e-8 of the smallest.  The solver's eigenvector is
+    returned as-is (no canonical phase), since a degenerate minimum has no
+    preferred basis.
+    """
+    _, _, w, v = _lowest_eigenpairs(t, _as_probe(lam), accuracy)
+    return _state(w, v)
+
+
+def minimizing_state_and_gap(t: ObservableTuple, lam,
+                             accuracy: float = 1e-9):
+    """``minimizing_state`` plus mu^Q, from the same eigensolve of Q_lam.
+
+    mu^Q follows ``quadratic_gap``'s rules (PSD clamp check, eigen-error
+    below sqrt(machine eps) * ||Q||_F); it can differ from that function's
+    value in the last bits, which solves Q separately.
+    """
+    lam = _as_probe(lam)
+    pencil, vals, w, v = _lowest_eigenpairs(t, lam, accuracy)
+    mu = _quadratic_value(t, pencil, lam.coords, float(w[0]), vals, v[:, 0])
+    return (*_state(w, v), mu)
 
 
 GRADING_TOL = 1e-10

@@ -244,15 +244,41 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1,
-                           want_vector: bool = False):
-    """The k eigenvalues of Hermitian `m` nearest 0 by shift-invert ARPACK.
+def _shift_invert(ms, sigma, k, accuracy, v0):
+    """eigsh's k eigenpairs of ``ms`` nearest ``sigma``.
 
-    Returns ``(values, vectors)`` sorted by distance from 0, ``vectors``
-    None unless ``want_vector``; the start vector is fixed.  A singular
-    factorization means 0 is an eigenvalue: a tiny jittered shift is
-    retried, and if that factorization is singular too the result is
-    ``(zeros, None)``.  Both events are logged.
+    ``ms - sigma I`` is factored once with a symmetric ordering and diagonal
+    pivots, which keeps the factor small.  Unpivoted elimination can be
+    inaccurate, so the general partial-pivoting LU inside ``eigsh`` is used
+    instead where the diagonal has a zero (fill explodes there) and where an
+    eigenvalue disagrees with its Rayleigh quotient beyond ``accuracy``.
+    """
+    n = ms.shape[0]
+    if np.all(ms.diagonal() != sigma):
+        shifted = ms - sigma * sp.identity(n, format="csc") if sigma else ms
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=ms.dtype)
+        w, v = spla.eigsh(ms, k=k, sigma=sigma, which="LM", tol=accuracy,
+                          v0=v0, OPinv=op)
+        rho = np.einsum("ij,ij->j", v.conj(), ms @ v).real
+        err = np.abs(w - rho)
+        if np.all(err <= accuracy * np.maximum(1.0, np.abs(w))):
+            return w, v
+        _LOG.info("symmetric factor at shift %.3g (dim %d) inaccurate: "
+                  "|eigenvalue - Rayleigh quotient| = %.3g; partial-pivoting "
+                  "LU used", sigma, n, err.max())
+    return spla.eigsh(ms, k=k, sigma=sigma, which="LM", tol=accuracy, v0=v0)
+
+
+def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1):
+    """The k eigenpairs of Hermitian `m` nearest 0 by shift-invert ARPACK.
+
+    Returns ``(values, vectors)`` sorted by distance from 0; the start
+    vector is fixed.  A singular factorization means 0 is an eigenvalue: a
+    tiny jittered shift is retried, and if that factorization is singular
+    too the result is ``(zeros, None)``.  Both events are logged.
     """
     ms = m if _is_sparse(m) and m.format == "csc" else sp.csc_matrix(m)
     n = ms.shape[0]
@@ -260,8 +286,7 @@ def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1,
     for attempt in range(2):
         sigma = 1e-10 * max(1.0, _norm_upper_bound(ms)) if attempt else 0.0
         try:
-            res = spla.eigsh(ms, k=k, sigma=sigma, which="LM", tol=accuracy,
-                             v0=v0, return_eigenvectors=want_vector)
+            w, v = _shift_invert(ms, sigma, k, accuracy, v0)
         except ArpackNoConvergence as exc:
             raise NumericalFailure(
                 "shift-invert eigsh failed to converge",
@@ -271,9 +296,8 @@ def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1,
             _LOG.info("singular factorization at shift %.3g (dim %d): %s",
                       sigma, n, exc)
             continue
-        w, v = res if want_vector else (res, None)
         order = np.argsort(np.abs(w))
-        return w[order], (v[:, order] if want_vector else None)
+        return w[order], v[:, order]
     _LOG.info("matrix of dim %d is singular to working precision; "
               "nearest-zero eigenvalue reported as 0", n)
     return np.zeros(k), None
@@ -308,7 +332,7 @@ def smallest_abs_eigenvalue(a, accuracy: float = 1e-9,
     _check_finite(m)
     n = m.shape[0]
     if not solves_densely(n, _is_sparse(m)):
-        w, v = eigenpair_nearest_zero(m, accuracy, want_vector=want_vector)
+        w, v = eigenpair_nearest_zero(m, accuracy)
         if not want_vector:
             return abs(float(w[0]))
         if v is not None:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .composites import (ObservableTuple, ProbePoint, _as_probe,
-                         minimizing_state, quadratic_gap)
+                         minimizing_state_and_gap)
 from .errors import NumericalFailure, ParameterOutOfRange
 from .models import ScaledTuple
 from .operators import (HermitianOperator, StateVector, expectation,
@@ -137,10 +137,10 @@ def extract_state(t, lam, accuracy: float = 1e-9,
         lam_scaled = np.atleast_1d(np.asarray(
             lam.coords if isinstance(lam, ProbePoint) else lam, dtype=float))
     lam = _as_probe(lam)
-    state, degenerate = minimizing_state(scaled, lam_scaled, accuracy=accuracy)
+    state, degenerate, mu = minimizing_state_and_gap(scaled, lam_scaled,
+                                                     accuracy=accuracy)
     v = _fix_phase(state.vec)
     state = StateVector(v, normalize=True)
-    mu = quadratic_gap(scaled, lam_scaled, accuracy=accuracy)
 
     d_pos = base.commuting_prefix
     h = base.ops[-1]

@@ -240,3 +240,119 @@ def test_minimizing_state_dense_fallback_is_logged(caplog, monkeypatch):
     assert state.dim == 600
     assert any("dense eigendecomposition" in r.getMessage()
                for r in caplog.records)
+
+
+# -- symmetric-ordered shift-invert factor -------------------------------------
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Keyword arguments of every splu call: ours and eigsh's own."""
+    import scipy.sparse.linalg as spla
+    from scipy.sparse.linalg._eigen.arpack import arpack
+
+    calls = []
+    orig = spla.splu
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    monkeypatch.setattr(arpack, "splu", spy)
+    return calls
+
+
+def symmetric(calls):
+    return [c for c in calls if c.get("options", {}).get("SymmetricMode")]
+
+
+def chern_half(nx):
+    return scale_positions(build_chern2d(nx, nx), 0.5)
+
+
+def dense_nearest_zero(m, k=1):
+    w = np.linalg.eigvalsh(m.toarray() if sp.issparse(m) else m)
+    return w[np.argsort(np.abs(w))[:k]]
+
+
+@pytest.mark.parametrize("nx,q_fmt", [(12, "dense"), (20, "csc")])
+def test_chern_gaps_match_dense_at_e0(splu_calls, nx, q_fmt):
+    # 12x12: Q (288) below the sparse cutoff, L (576) above; 20x20: both above
+    t = chern_half(nx)
+    rep = build_clifford(3)
+    lam = [0.3, -0.2, 0.0]
+    assert quadratic_pencil(t, lam).fmt == q_fmt
+    assert localizer_pencil(t, rep, lam).fmt == "csc"
+    ref_c = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
+    ref_q = np.sqrt(np.linalg.eigvalsh(direct_q(t, lam)).min())
+    assert abs(clifford_gap(t, lam, rep) - ref_c) <= 1e-9
+    assert abs(quadratic_gap(t, lam) - ref_q) <= 1e-9
+    sparse_solves = 1 + (q_fmt == "csc")
+    assert len(splu_calls) == len(symmetric(splu_calls)) == sparse_solves
+
+
+def test_zero_diagonal_takes_partial_pivoting(splu_calls):
+    # E = 2 is the on-site energy: L has zero diagonal entries, where the
+    # diagonally pivoted factor would pivot off the diagonal
+    t = chern_half(12)
+    rep = build_clifford(3)
+    lam = [0.0, 0.0, 2.0]
+    m = localizer_pencil(t, rep, lam).at(lam)
+    assert np.count_nonzero(m.diagonal() == 0) > 0
+    ref = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
+    assert abs(clifford_gap(t, lam, rep) - ref) <= 1e-9
+    assert splu_calls and not symmetric(splu_calls)
+
+
+def test_inaccurate_symmetric_factor_is_redone(splu_calls, caplog):
+    # just off the on-site energy the unpivoted factor has tiny pivots and
+    # its eigenvalue misses its Rayleigh quotient
+    t = chern_half(12)
+    rep = build_clifford(3)
+    lam = [0.0, 0.0, 2.0 + 1e-9]
+    ref = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
+    with caplog.at_level(logging.INFO, logger="jointspec"):
+        mu = clifford_gap(t, lam, rep)
+    assert abs(mu - ref) <= 1e-9
+    assert [len(symmetric(splu_calls)), len(splu_calls)] == [1, 2]
+    assert sum("Rayleigh quotient" in r.getMessage()
+               for r in caplog.records) == 1
+
+
+@pytest.mark.parametrize("energy", [0.0, 2.0, 2.0 + 1e-9])
+def test_two_eigenpairs_nearest_zero_match_dense(energy):
+    t = chern_half(12)
+    rep = build_clifford(3)
+    lam = [0.0, 0.0, energy]
+    m = localizer_pencil(t, rep, lam).at(lam)
+    w, v = operators.eigenpair_nearest_zero(m, k=2)
+    ref = dense_nearest_zero(m, k=2)
+    np.testing.assert_allclose(np.abs(w), np.abs(ref), rtol=0, atol=1e-9)
+    for i in range(2):
+        assert np.linalg.norm(m @ v[:, i] - w[i] * v[:, i]) <= 1e-8
+
+
+def test_sparse_minimizing_state_matches_dense():
+    t = chern_half(20)  # Q dim 800: sparse, k = 2
+    lam = [0.3, -0.2, 0.0]
+    assert quadratic_pencil(t, lam).fmt == "csc"
+    state, degenerate = composites.minimizing_state(t, lam)
+    q = direct_q(t, lam)
+    w = np.linalg.eigvalsh(q)
+    rayleigh = np.vdot(state.vec, q @ state.vec).real
+    assert abs(rayleigh - w[0]) <= 1e-9
+    assert degenerate == (w[1] - w[0] <= composites.DEGENERACY_TOL)
+
+
+def test_extract_state_factorizes_q_once(splu_calls):
+    from jointspec.models import ScaledTuple
+    from jointspec.states import check_identity, extract_state
+
+    base = build_chern2d(17, 17)  # Q dim 578 > 512
+    lam = [7.0, 0.0, 0.0]
+    report = extract_state(ScaledTuple(base, 0.5), lam)
+    assert len(splu_calls) == 1
+    check_identity(report)
+    mu = quadratic_gap(scale_positions(base, 0.5), [3.5, 0.0, 0.0])
+    assert abs(report.mu_q - mu) <= 1e-12 * max(1.0, mu)
