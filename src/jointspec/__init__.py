@@ -26,8 +26,8 @@ from .models import (LatticeModelSpec, ScaledTuple, build_chern2d,
                      build_example, build_ssh, build_ssh_path, scale_positions,
                      ssh_grading)
 from .operators import (HermitianOperator, StateVector, eigen_error,
-                        expectation, operator_norm, smallest_abs_eigenvalue,
-                        smallest_singular_value, variance_sq)
+                        expectation, operator_norm, smallest_singular_value,
+                        variance_sq)
 from .states import LocalizedStateReport, extract_state, kappa_sweep
 from .sweep import (GapGrid, GridSpec, SpectralFlowTable, epsilon_mask,
                     model_fingerprint, spectral_flow, sweep_grid)
@@ -41,7 +41,7 @@ __all__ = [
     "__version__",
     "JointSpecError",
     "HermitianOperator", "StateVector", "operator_norm",
-    "smallest_singular_value", "smallest_abs_eigenvalue",
+    "smallest_singular_value",
     "expectation", "variance_sq", "eigen_error",
     "CliffordRep", "build_clifford", "verify_clifford", "flip_last_unitary",
     "ObservableTuple", "ProbePoint", "GapResult",

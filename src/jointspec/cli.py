@@ -27,8 +27,6 @@ from .sweep import (GridSpec, epsilon_mask, model_fingerprint, spectral_flow,
                     sweep_grid)
 from .truncation import shift_to_origin, truncated_gap
 
-DEFAULT_ACCURACY = float(os.environ.get("JOINTSPEC_ACCURACY", "1e-9"))
-
 _MODEL_DESCRIPTIONS = [
     ("pauli_pair", "2x2 Pauli pair (sigma_x, sigma_y); closed-form gaps"),
     ("pair_3x3", "3x3 pair whose sum X+iY has a nontrivial Jordan block"),
@@ -64,8 +62,6 @@ def _parse_model(arg: str, config_path=None) -> LatticeModelSpec:
     name = arg.replace("-", "_")
     if name in EXAMPLE_NAMES:
         return LatticeModelSpec(kind=f"example:{name}")
-    if name.startswith("example:"):
-        return LatticeModelSpec(kind=name)
     return LatticeModelSpec(kind=name)
 
 
@@ -109,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="jointspec",
         description="Joint approximate spectra of non-commuting observables: "
                     "quadratic-composite and localizer gap computations.")
-    p.add_argument("--accuracy", type=float, default=DEFAULT_ACCURACY,
+    p.add_argument("--accuracy", type=float, default=1e-9,
                    help="target accuracy for iterative eigensolvers")
     sub = p.add_subparsers(dest="command")
 
@@ -292,11 +288,11 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_states(args) -> int:
-    t = _built_tuple(args) if args.kappas else _resolve_model(args).build()
     lam = _parse_lambda(args.lam)
     if args.kappas:
         kappas = [float(x) for x in args.kappas.split(",")]
-        reports = kappa_sweep(t, lam, kappas, accuracy=args.accuracy)
+        reports = kappa_sweep(_built_tuple(args), lam, kappas,
+                              accuracy=args.accuracy)
     else:
         reports = [extract_state(ScaledTuple(_resolve_model(args).build(),
                                              args.kappa),

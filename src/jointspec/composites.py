@@ -34,7 +34,6 @@ from .errors import (
     SymmetryHypothesisViolated,
 )
 from .operators import (
-    DENSE_EIGEN_CUTOFF,
     HermitianOperator,
     StateVector,
     _is_sparse,
@@ -585,22 +584,13 @@ def _lowest_eigenpairs(t: ObservableTuple, lam: ProbePoint, accuracy):
     pencil = quadratic_pencil(t, lam.coords)
     vals = pencil.values(lam.coords[None])[0]
     m = pencil.matrix(vals)
-    w = v = None
-    if pencil.fmt != "dense":
-        try:
-            w, v = eigenpair_nearest_zero(m, accuracy, k=2)
-            reason = "singular Q"
-        except NumericalFailure as exc:
-            reason = str(exc)
+    if pencil.fmt == "dense":
+        w, v = np.linalg.eigh(m)
+    else:
+        w, v = eigenpair_nearest_zero(m, accuracy, k=2)
         if v is None:
-            if pencil.dim > DENSE_EIGEN_CUTOFF:
-                raise NumericalFailure("sparse minimizing-state solve failed",
-                                       details={"reason": reason})
-            _LOG.warning("minimizing state at %s: sparse solve failed (%s); "
-                         "dense eigendecomposition used", list(lam.coords),
-                         reason)
-    if v is None:
-        w, v = np.linalg.eigh(m.toarray() if _is_sparse(m) else m)
+            raise NumericalFailure("Q is singular: minimizing state not "
+                                   "recovered", details={"dim": pencil.dim})
     vec = v[:, 0]
     scale = max(1.0, _fro_norm(m))
     resid = np.linalg.norm(m @ vec - w[0] * vec)

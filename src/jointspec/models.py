@@ -228,7 +228,6 @@ def scale_positions(t: ObservableTuple, kappa: float) -> ObservableTuple:
 _KIND_PARAMS = {
     "ssh": {"n_cells", "v", "w"},
     "ssh_path": {"t"},
-    "class_d_chain": set(),
     "chern2d": {"nx", "ny", "A", "B", "C", "D", "M", "lattice_constant"},
     "explicit": set(),
 }
@@ -267,8 +266,6 @@ class LatticeModelSpec:
                              p.get("w", 1.4))
         if self.kind == "ssh_path":
             return build_ssh_path(p.get("t", 0.0))
-        if self.kind == "class_d_chain":
-            return build_example("class_d_7")
         if self.kind == "chern2d":
             return build_chern2d(int(p.get("nx", 20)), int(p.get("ny", 20)),
                                  p.get("A", 1.0), p.get("B", -1.0),

@@ -16,7 +16,6 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from .errors import (
-    DegenerateScalars,
     DimensionMismatch,
     InvalidOperator,
     NumericalFailure,
@@ -38,11 +37,9 @@ __all__ = [
     "StateVector",
     "operator_norm",
     "smallest_singular_value",
-    "smallest_abs_eigenvalue",
     "expectation",
     "variance_sq",
     "eigen_error",
-    "overlap_bound_check",
     "solves_densely",
     "start_vector",
     "eigenpair_nearest_zero",
@@ -77,12 +74,8 @@ def _max_abs(m) -> float:
 def _norm_upper_bound(m) -> float:
     """Cheap upper bound on the operator norm (via max row/col 1-norms)."""
     a = abs(m)
-    if _is_sparse(m):
-        r = a.sum(axis=1).max()
-        c = a.sum(axis=0).max()
-    else:
-        r = a.sum(axis=1).max()
-        c = a.sum(axis=0).max()
+    r = a.sum(axis=1).max()
+    c = a.sum(axis=0).max()
     return float(np.sqrt(float(r) * float(c))) if m.shape[0] and m.shape[1] else 0.0
 
 
@@ -277,30 +270,43 @@ def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1):
 
     Returns ``(values, vectors)`` sorted by distance from 0; the start
     vector is fixed.  A singular factorization means 0 is an eigenvalue: a
-    tiny jittered shift is retried, and if that factorization is singular
-    too the result is ``(zeros, None)``.  Both events are logged.
+    tiny jittered shift is retried.  If shift-invert gives no eigenpairs
+    (singular at both shifts, or no convergence), a matrix of dimension up to
+    ``DENSE_EIGEN_CUTOFF`` is solved by a dense eigendecomposition, with a
+    warning; a larger one gives ``(zeros, None)`` when singular and raises
+    NumericalFailure when ARPACK did not converge.  Every event is logged.
     """
     ms = m if _is_sparse(m) and m.format == "csc" else sp.csc_matrix(m)
     n = ms.shape[0]
     v0 = start_vector(n)
+    reason = "singular at both shifts"
     for attempt in range(2):
         sigma = 1e-10 * max(1.0, _norm_upper_bound(ms)) if attempt else 0.0
         try:
             w, v = _shift_invert(ms, sigma, k, accuracy, v0)
         except ArpackNoConvergence as exc:
-            raise NumericalFailure(
-                "shift-invert eigsh failed to converge",
-                details={"dim": n, "sigma": sigma, "exc": str(exc)},
-            ) from exc
+            if n > DENSE_EIGEN_CUTOFF:
+                raise NumericalFailure(
+                    "shift-invert eigsh failed to converge",
+                    details={"dim": n, "sigma": sigma, "exc": str(exc)},
+                ) from exc
+            reason = f"no convergence at shift {sigma:.3g}"
+            break
         except RuntimeError as exc:
             _LOG.info("singular factorization at shift %.3g (dim %d): %s",
                       sigma, n, exc)
             continue
         order = np.argsort(np.abs(w))
         return w[order], v[:, order]
-    _LOG.info("matrix of dim %d is singular to working precision; "
-              "nearest-zero eigenvalue reported as 0", n)
-    return np.zeros(k), None
+    if n > DENSE_EIGEN_CUTOFF:
+        _LOG.info("matrix of dim %d is singular to working precision; "
+                  "nearest-zero eigenvalue reported as 0", n)
+        return np.zeros(k), None
+    _LOG.warning("shift-invert on dim %d gave no eigenpairs (%s); dense "
+                 "eigendecomposition used", n, reason)
+    w, v = np.linalg.eigh(ms.toarray())
+    order = np.argsort(np.abs(w))[:k]
+    return w[order], v[:, order]
 
 
 def smallest_singular_value(a, accuracy: float = 1e-9) -> float:
@@ -319,36 +325,6 @@ def smallest_singular_value(a, accuracy: float = 1e-9) -> float:
     if min(m.shape) == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[-1])
-
-
-def smallest_abs_eigenvalue(a, accuracy: float = 1e-9,
-                            want_vector: bool = False):
-    """Smallest |eigenvalue| of a Hermitian matrix.
-
-    Dense LAPACK or shift-invert ARPACK at 0, as ``solves_densely`` decides.
-    With ``want_vector=True`` returns ``(value, eigenvector)``.
-    """
-    m = _as_matrix(a)
-    _check_finite(m)
-    n = m.shape[0]
-    if not solves_densely(n, _is_sparse(m)):
-        w, v = eigenpair_nearest_zero(m, accuracy)
-        if not want_vector:
-            return abs(float(w[0]))
-        if v is not None:
-            return abs(float(w[0])), v[:, 0]
-        if n > DENSE_EIGEN_CUTOFF:
-            raise NumericalFailure("singular matrix: null vector not recovered",
-                                   details={"dim": n})
-        _LOG.info("singular matrix of dim %d: null vector from a dense "
-                  "eigendecomposition", n)
-    md = m.toarray() if _is_sparse(m) else np.asarray(m, dtype=complex)
-    if want_vector:
-        w, v = np.linalg.eigh(md)
-        i = int(np.argmin(np.abs(w)))
-        return abs(float(w[i])), v[:, i]
-    w = np.linalg.eigvalsh(md)
-    return float(np.min(np.abs(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +359,3 @@ def eigen_error(a: HermitianOperator, v: StateVector, lam: float) -> float:
     """||A v - lam v||, the eigen-error of (v, lam) for A."""
     _check_dims(a, v)
     return float(np.linalg.norm(a.mat @ v.vec - lam * v.vec))
-
-
-def overlap_bound_check(a: HermitianOperator, v: StateVector, w: StateVector,
-                        lam: float, mu: float) -> bool:
-    """Check |<v,w>| <= (||Av - lam v|| + ||Aw - mu w||) / |lam - mu| + 1e-12.
-
-    Property-test oracle for the approximate-orthogonality lemma; a ``False``
-    indicates a bug somewhere, never physics.
-    """
-    if lam == mu:
-        raise DegenerateScalars("lambda and mu must differ")
-    lhs = abs(np.vdot(v.vec, w.vec))
-    rhs = (eigen_error(a, v, lam) + eigen_error(a, w, mu)) / abs(lam - mu)
-    return bool(lhs <= rhs + 1e-12)

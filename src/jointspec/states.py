@@ -19,8 +19,8 @@ from .composites import (ObservableTuple, ProbePoint, _as_probe,
                          minimizing_state_and_gap)
 from .errors import NumericalFailure, ParameterOutOfRange
 from .models import ScaledTuple
-from .operators import (HermitianOperator, StateVector, expectation,
-                        variance_sq)
+from .operators import (DENSE_EIGEN_CUTOFF, HermitianOperator, StateVector,
+                        expectation, variance_sq)
 
 __all__ = [
     "LocalizedStateReport",
@@ -29,9 +29,6 @@ __all__ = [
     "kappa_sweep",
 ]
 
-#: above this dimension the energy distribution falls back to a broadened
-#: histogram instead of a full eigenbasis expansion
-DENSE_BASIS_CUTOFF = 4096
 MARGINAL_TOL = 1e-10
 IDENTITY_RTOL = 1e-8
 
@@ -95,10 +92,11 @@ def _site_marginal(v: np.ndarray, orbitals: int) -> np.ndarray:
 def _energy_weights(h: HermitianOperator, v: np.ndarray, sigma: float):
     """(eigenvalue, weight) pairs against the eigenbasis of H.
 
-    Exact for dense-solvable H; for larger models a resolution-limited
-    Gaussian profile around the measured energy mean/spread stands in, and
-    the report's ``energy_weights_exact`` flag is cleared."""
-    if h.dim <= DENSE_BASIS_CUTOFF:
+    Exact for H up to ``DENSE_EIGEN_CUTOFF``; for larger models a
+    resolution-limited Gaussian profile around the measured energy
+    mean/spread stands in, and the report's ``energy_weights_exact`` flag is
+    cleared."""
+    if h.dim <= DENSE_EIGEN_CUTOFF:
         evals, evecs = np.linalg.eigh(h.dense())
         w = np.abs(evecs.conj().T @ v) ** 2
         if abs(w.sum() - 1.0) > MARGINAL_TOL:

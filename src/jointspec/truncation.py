@@ -22,7 +22,8 @@ import scipy.sparse as sp
 from .composites import ObservableTuple, quadratic_gap, shifted_observables
 from .errors import (CTooLarge, DimensionMismatch, EmptyBall,
                      ParameterOutOfRange, ZNotInvertible)
-from .operators import HermitianOperator, _is_sparse, operator_norm
+from .operators import (HermitianOperator, _is_sparse, operator_norm,
+                        solves_densely)
 
 __all__ = [
     "TruncationCertificate",
@@ -189,11 +190,10 @@ def compress_to_ball(t: ObservableTuple, rho: float):
         raise EmptyBall(f"no basis vector lies within distance {rho} of the probe")
     ops = []
     for o in t.ops:
+        sub = o.mat[np.ix_(keep, keep)]
         if o.is_sparse:
-            sub = o.mat[np.ix_(keep, keep)]
-            sub = sub.toarray() if keep.size <= 512 else sub.tocsr()
-        else:
-            sub = o.mat[np.ix_(keep, keep)]
+            sub = (sub.toarray() if solves_densely(keep.size, True)
+                   else sub.tocsr())
         ops.append(HermitianOperator(sub, copy=False))
     meta = dict(t.meta)
     meta["compressed_to_rho"] = float(rho)
@@ -227,13 +227,10 @@ def truncated_gap(t: ObservableTuple, rho: float, accuracy: float = 1e-9,
         raise ParameterOutOfRange(
             "expected a position block followed by one Hamiltonian")
     h = t.ops[-1]
-    _, keep = compress_to_ball(t, rho)
-    h0 = _far_field_zeroing(h, keep, t.dim)
-    c = perturbation_constant(t, h, h0)
-    zeroed = ObservableTuple(
-        list(t.ops[:-1]) + [HermitianOperator(h.mat + h0.mat, copy=False)],
-        commuting_prefix=t.commuting_prefix, meta=t.meta)
-    compressed, _ = compress_to_ball(zeroed, rho)
+    # H + H0 = P H P equals H on the ball, so compressing t is compressing
+    # the zeroed tuple
+    compressed, keep = compress_to_ball(t, rho)
+    c = perturbation_constant(t, h, _far_field_zeroing(h, keep, t.dim))
     mu_comp = quadratic_gap(compressed, np.zeros(t.d_total), accuracy=accuracy)
     value = float(min(rho, mu_comp))
     lower = float(np.sqrt(max(0.0, 1.0 - c)) * (mu_full or 0.0))

@@ -14,7 +14,7 @@ import scipy.optimize
 import jointspec as js
 from jointspec.composites import reduced_localizer
 from jointspec.models import ssh_grading
-from jointspec.operators import HermitianOperator, overlap_bound_check
+from jointspec.operators import HermitianOperator
 from jointspec.sweep import GridSpec, sweep_grid
 
 REP2 = js.build_clifford(2)
@@ -248,7 +248,7 @@ def test_criterion_6d_eigen_error_identity():
     _report(6, "eigen-error identity: 500 random instances, zero violations")
 
 
-def test_criterion_6e_overlap_lemma():
+def test_criterion_6e_overlap_lemma(overlap_bound_check):
     r = np.random.default_rng(105)
     checked = 0
     for _ in range(N_INSTANCES):

@@ -181,3 +181,21 @@ def test_sweep_with_no_finite_cell_is_numerical_failure(capsys, monkeypatch):
                        "--grid", "x=0:9:4,E=-1:1:3")
     assert code == 3
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("ladder", [[], ["--kappas", "0.5,1"]])
+def test_states_builds_the_model_once(capsys, monkeypatch, ladder):
+    from jointspec.models import LatticeModelSpec
+
+    builds = []
+    build = LatticeModelSpec.build
+
+    def counting(self):
+        builds.append(self.kind)
+        return build(self)
+
+    monkeypatch.setattr(LatticeModelSpec, "build", counting)
+    code, out, _ = run(capsys, "states", "--model", "ssh", "--lambda", "1,0",
+                       *ladder)
+    assert code == 0 and out.count("mu_q=") == max(1, len(ladder))
+    assert builds == ["ssh"]

@@ -5,9 +5,9 @@ import scipy.sparse as sp
 from jointspec.errors import (DegenerateScalars, DimensionMismatch,
                               InvalidOperator)
 from jointspec.operators import (HermitianOperator, StateVector, eigen_error,
-                                 expectation, operator_norm,
-                                 overlap_bound_check, smallest_abs_eigenvalue,
-                                 smallest_singular_value, variance_sq)
+                                 eigenpair_nearest_zero, expectation,
+                                 operator_norm, smallest_singular_value,
+                                 variance_sq)
 
 rng = np.random.default_rng(7)
 
@@ -72,27 +72,27 @@ def test_smallest_singular_value_rectangular():
     assert np.isclose(smallest_singular_value(a), np.linalg.svd(a)[1].min())
 
 
-def test_smallest_abs_eigenvalue_dense():
+def test_nearest_zero_dense_input():
     a = np.diag([-3.0, 0.5, 2.0])
-    val = smallest_abs_eigenvalue(a)
-    assert np.isclose(val, 0.5)
+    w, _ = eigenpair_nearest_zero(a)
+    assert np.isclose(abs(w[0]), 0.5)
 
 
-def test_smallest_abs_eigenvalue_sparse_matches_dense():
+def test_nearest_zero_sparse_matches_dense():
     n = 700
     diag = np.linspace(-5, 5, n)
     off = 0.3 * np.ones(n - 1)
     m = sp.diags([off, diag, off], [-1, 0, 1]).tocsr()
     dense_val = np.abs(np.linalg.eigvalsh(m.toarray())).min()
-    val = smallest_abs_eigenvalue(m, accuracy=1e-10)
-    assert np.isclose(abs(val), dense_val, atol=1e-8)
+    w, _ = eigenpair_nearest_zero(m, accuracy=1e-10)
+    assert np.isclose(abs(w[0]), dense_val, atol=1e-8)
 
 
-def test_smallest_abs_eigenvalue_vector():
+def test_nearest_zero_vector():
     a = np.diag([4.0, 0.25, -2.0])
-    val, vec = smallest_abs_eigenvalue(a, want_vector=True)
-    assert np.isclose(val, 0.25)
-    assert np.isclose(abs(vec[1]), 1.0)
+    w, v = eigenpair_nearest_zero(a)
+    assert np.isclose(abs(w[0]), 0.25)
+    assert np.isclose(abs(v[1, 0]), 1.0)
 
 
 def test_expectation_and_variance():
@@ -123,7 +123,7 @@ def test_eigen_error_exact_eigenvector():
     assert eigen_error(a, v, 1.0) < 1e-14
 
 
-def test_overlap_bound():
+def test_overlap_bound(overlap_bound_check):
     a = HermitianOperator(random_hermitian(5, seed=3))
     vals, vecs = np.linalg.eigh(a.mat)
     v = StateVector(vecs[:, 0])

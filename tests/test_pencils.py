@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import jointspec.composites as composites
 import jointspec.operators as operators
@@ -15,7 +16,7 @@ from jointspec.composites import (ObservableTuple, clifford_gap,
                                   quadratic_pencil)
 from jointspec.errors import NumericalFailure
 from jointspec.models import build_chern2d, build_ssh, scale_positions
-from jointspec.operators import (HermitianOperator, smallest_abs_eigenvalue,
+from jointspec.operators import (HermitianOperator, eigenpair_nearest_zero,
                                  solves_densely)
 from jointspec.sweep import GridSpec, sweep_grid
 
@@ -215,31 +216,113 @@ def test_low_confidence_mu_q_on_tall_sparse_composite(caplog):
     assert any("low-confidence" in r.getMessage() for r in caplog.records)
 
 
+def singular_diagonal():
+    return sp.diags(np.linspace(-1.0, 1.0, 601)).tocsr()  # exact zero inside
+
+
 def test_singular_matrix_path_is_logged(caplog):
-    diag = np.linspace(-1.0, 1.0, 601)  # exact zero in the middle
-    m = sp.diags(diag).tocsr()
+    m = singular_diagonal()
     with caplog.at_level(logging.INFO, logger="jointspec"):
-        val = smallest_abs_eigenvalue(m)
-    assert val <= 1e-8
+        w, _ = eigenpair_nearest_zero(m)
+    assert abs(w[0]) <= 1e-8
     messages = [r.getMessage() for r in caplog.records]
     assert any("singular factorization" in msg for msg in messages)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="jointspec"):
-        assert smallest_abs_eigenvalue(m) == val  # logging leaves the value
+        again, _ = eigenpair_nearest_zero(m)
+    assert again[0] == w[0]  # logging leaves the value
+    assert not caplog.records
 
 
-def test_minimizing_state_dense_fallback_is_logged(caplog, monkeypatch):
-    t = sparse_pair(600, seed=3)
-
+def plant(monkeypatch, exc):
+    """Make every shift-invert solve raise exc."""
     def failing(*args, **kwargs):
-        raise NumericalFailure("no convergence")
+        raise exc
 
-    monkeypatch.setattr(composites, "eigenpair_nearest_zero", failing)
+    monkeypatch.setattr(operators, "_shift_invert", failing)
+
+
+@pytest.fixture
+def no_convergence(monkeypatch):
+    plant(monkeypatch, ArpackNoConvergence("planted", np.empty(0),
+                                           np.empty((0, 0))))
+
+
+@pytest.fixture
+def singular_twice(monkeypatch):
+    plant(monkeypatch, RuntimeError("Factor is exactly singular"))
+
+
+def fallback_warnings(caplog):
+    return [r for r in caplog.records if r.levelno == logging.WARNING
+            and "dense eigendecomposition" in r.getMessage()]
+
+
+def test_singular_at_both_shifts_recovers_densely(singular_twice, caplog):
+    m = singular_diagonal()
+    with caplog.at_level(logging.INFO, logger="jointspec"):
+        w, v = eigenpair_nearest_zero(m, k=2)
+    np.testing.assert_array_equal(np.abs(w),
+                                  np.sort(np.abs(m.diagonal()))[:2])
+    assert np.linalg.norm(m @ v - v * w) <= 1e-12
+    assert len(fallback_warnings(caplog)) == 1
+
+
+def test_singular_above_dense_cutoff_reads_zero(singular_twice, monkeypatch,
+                                                caplog):
+    monkeypatch.setattr(operators, "DENSE_EIGEN_CUTOFF", 550)
+    with caplog.at_level(logging.INFO, logger="jointspec"):
+        w, v = eigenpair_nearest_zero(singular_diagonal(), k=2)
+        t = chern_half(12)  # L dim 576
+        rep = build_clifford(3)
+        assert clifford_gap(t, [0.3, -0.2, 0.0], rep) == 0.0
+        with pytest.raises(NumericalFailure):
+            composites.minimizing_state(sparse_pair(600, seed=3), [0.2, 0.1])
+    assert v is None and np.all(w == 0.0)
+    assert any("reported as 0" in r.getMessage() for r in caplog.records)
+    assert not fallback_warnings(caplog)
+
+
+def test_no_convergence_recovers_densely(no_convergence, caplog):
+    t = chern_half(12)  # L dim 576: sparse, below the dense cutoff
+    rep = build_clifford(3)
+    lam = [0.3, -0.2, 0.0]
+    assert localizer_pencil(t, rep, lam).fmt == "csc"
+    ref = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
+    with caplog.at_level(logging.INFO, logger="jointspec"):
+        mu = clifford_gap(t, lam, rep)
+    assert abs(mu - ref) <= 1e-9
+    assert len(fallback_warnings(caplog)) == 1
+
+
+def test_minimizing_state_dense_fallback_is_logged(no_convergence, caplog):
+    t = sparse_pair(600, seed=3)
+    lam = [0.2, 0.1]
     with caplog.at_level(logging.WARNING, logger="jointspec"):
-        state, _ = composites.minimizing_state(t, [0.2, 0.1])
+        state, _ = composites.minimizing_state(t, lam)
     assert state.dim == 600
-    assert any("dense eigendecomposition" in r.getMessage()
-               for r in caplog.records)
+    assert len(fallback_warnings(caplog)) == 1
+    q = direct_q(t, lam)
+    rayleigh = np.vdot(state.vec, q @ state.vec).real
+    assert abs(rayleigh - np.linalg.eigvalsh(q)[0]) <= 1e-9
+
+
+def test_no_convergence_above_dense_cutoff_fails(no_convergence, monkeypatch,
+                                                 caplog):
+    monkeypatch.setattr(operators, "DENSE_EIGEN_CUTOFF", 550)
+    t = chern_half(12)
+    rep = build_clifford(3)
+    lam = [0.3, -0.2, 0.0]
+    with caplog.at_level(logging.INFO, logger="jointspec"):
+        cell, = composites.gap_values(t, [lam], "clifford", rep)
+        assert isinstance(cell, NumericalFailure)
+        grid = sweep_grid(t, GridSpec(axes=((0.3, 0.4, 2),),
+                                      fixed_coords={1: -0.2, 2: 0.0}),
+                          "clifford", rep=rep)
+        assert [f["index"] for f in grid.failures] == [[0], [1]]
+        with pytest.raises(NumericalFailure):
+            composites.minimizing_state(sparse_pair(600, seed=3), [0.2, 0.1])
+    assert not fallback_warnings(caplog)
 
 
 # -- symmetric-ordered shift-invert factor -------------------------------------

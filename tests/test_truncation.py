@@ -6,9 +6,10 @@ from jointspec.errors import (CTooLarge, EmptyBall, ParameterOutOfRange,
                               ZNotInvertible)
 from jointspec.models import build_chern2d, build_ssh
 from jointspec.operators import HermitianOperator, operator_norm
-from jointspec.truncation import (compress_to_ball, distance_operator,
-                                  modified_gap_bounds, perturbation_constant,
-                                  shift_to_origin, truncated_gap)
+from jointspec.truncation import (_far_field_zeroing, compress_to_ball,
+                                  distance_operator, modified_gap_bounds,
+                                  perturbation_constant, shift_to_origin,
+                                  truncated_gap)
 
 rng = np.random.default_rng(23)
 
@@ -142,3 +143,29 @@ def test_truncated_gap_certificate_brackets_full(tmp_path):
     path = tmp_path / "cert.json"
     cert.to_json(path)
     assert path.exists()
+
+
+def zeroed_then_compressed(t, rho):
+    """The ladder rung computed by zeroing the far field of H on the full
+    lattice and compressing the zeroed tuple."""
+    h = t.ops[-1]
+    _, keep = compress_to_ball(t, rho)
+    h0 = _far_field_zeroing(h, keep, t.dim)
+    zeroed = ObservableTuple(
+        list(t.ops[:-1]) + [HermitianOperator(h.mat + h0.mat, copy=False)],
+        commuting_prefix=t.commuting_prefix, meta=t.meta)
+    compressed, _ = compress_to_ball(zeroed, rho)
+    mu = quadratic_gap(compressed, np.zeros(t.d_total))
+    return float(min(rho, mu)), perturbation_constant(t, h, h0)
+
+
+@pytest.mark.parametrize("model,lam,rhos", [
+    (build_ssh(30, 0.7, 1.4), [30.3, 0.1], (2.0, 5.0, 15.0)),
+    (build_chern2d(20, 20), [0.3, 0.2, 0.1], (2.0, 5.0, 10.0)),
+])
+def test_ladder_equals_compressed_zeroed_tuple(model, lam, rhos):
+    # H + H0 = P H P equals H on the ball, so the rung needs no zeroed tuple
+    shifted = shift_to_origin(model, lam)
+    for rho in rhos:
+        value, cert = truncated_gap(shifted, rho)
+        assert (value, cert.C) == zeroed_then_compressed(shifted, rho)
