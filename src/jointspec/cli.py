@@ -289,14 +289,13 @@ def _cmd_flow(args) -> int:
 
 def _cmd_states(args) -> int:
     lam = _parse_lambda(args.lam)
+    t = _resolve_model(args).build()  # unscaled: a ladder replaces --kappa
     if args.kappas:
         kappas = [float(x) for x in args.kappas.split(",")]
-        reports = kappa_sweep(_built_tuple(args), lam, kappas,
-                              accuracy=args.accuracy)
+        reports = kappa_sweep(t, lam, kappas, accuracy=args.accuracy)
     else:
-        reports = [extract_state(ScaledTuple(_resolve_model(args).build(),
-                                             args.kappa),
-                                 lam, accuracy=args.accuracy)]
+        reports = [extract_state(ScaledTuple(t, args.kappa), lam,
+                                 accuracy=args.accuracy)]
         check_identity(reports[0])
     for rep in reports:
         pos = ",".join(f"{x:.4g}" for x in rep.position_expectations)

@@ -199,3 +199,11 @@ def test_states_builds_the_model_once(capsys, monkeypatch, ladder):
                        *ladder)
     assert code == 0 and out.count("mu_q=") == max(1, len(ladder))
     assert builds == ["ssh"]
+
+
+def test_states_ladder_overrides_kappa(capsys):
+    args = ("states", "--model", "ssh", "--lambda", "3,0", "--kappas", "1")
+    code, plain, _ = run(capsys, *args)
+    assert code == 0 and "kappa=1 " in plain
+    code, with_kappa, _ = run(capsys, *args, "--kappa", "2")
+    assert code == 0 and with_kappa == plain

@@ -1,9 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from jointspec import operators
 from jointspec.errors import (DegenerateScalars, DimensionMismatch,
-                              InvalidOperator)
+                              InvalidOperator, NumericalFailure)
 from jointspec.operators import (HermitianOperator, StateVector, eigen_error,
                                  eigenpair_nearest_zero, expectation,
                                  operator_norm, smallest_singular_value,
@@ -138,3 +141,74 @@ def test_dimension_mismatch():
     v = StateVector([1.0, 0.0])
     with pytest.raises(DimensionMismatch):
         expectation(a, v)
+
+
+def sparse_case(kind, seed=11):
+    """Sparse test matrices for the Lanczos norm, with planted structure."""
+    r = np.random.default_rng(seed)
+    shape = {"wide": (60, 150), "tall": (150, 60)}.get(kind, (120, 120))
+    if kind == "clustered":
+        u, _ = np.linalg.qr(r.standard_normal((120, 120))
+                            + 1j * r.standard_normal((120, 120)))
+        w, _ = np.linalg.qr(r.standard_normal((120, 120)))
+        s = np.concatenate([[5.0, 5.0, 5.0 - 1e-9], r.uniform(0.0, 4.9, 117)])
+        return sp.csr_matrix((u * s) @ w.T)
+    m = (sp.random(*shape, density=0.05, random_state=r)
+         + 1j * sp.random(*shape, density=0.05, random_state=r))
+    if kind == "hermitian":
+        m = m + m.conj().T
+    elif kind == "real":
+        m = m.real
+    return sp.csr_matrix(m)
+
+
+@pytest.mark.parametrize("kind", ["square", "wide", "tall", "hermitian",
+                                  "real", "clustered"])
+def test_sparse_operator_norm_matches_dense(kind):
+    m = sparse_case(kind)
+    ref = np.linalg.norm(m.toarray(), 2)
+    assert abs(operator_norm(m) - ref) <= 1e-12 * ref
+
+
+def test_sparse_operator_norm_two_by_two():
+    m = sp.csr_matrix(np.array([[1.0, 2.0j], [0.0, -3.0]]))
+    assert np.isclose(operator_norm(m), np.linalg.norm(m.toarray(), 2),
+                      rtol=1e-12)
+
+
+def test_sparse_operator_norm_of_stored_zeros():
+    zero = sp.csr_matrix((np.zeros(3), ([0, 1, 2], [2, 0, 1])), shape=(3, 3))
+    assert zero.nnz == 3 and operator_norm(zero) == 0.0
+    assert operator_norm(sp.csr_matrix((4, 6))) == 0.0
+
+
+def test_sparse_operator_norm_repeats_bit_for_bit():
+    m = sparse_case("square", seed=12)
+    assert operator_norm(m) == operator_norm(m)
+
+
+def test_sparse_operator_norm_step_limit(monkeypatch):
+    monkeypatch.setattr(operators, "NORM_MAX_STEPS", 3)
+    with pytest.raises(NumericalFailure):
+        operator_norm(sparse_case("square"))
+
+
+def test_sparse_operator_norm_calls_no_svds(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    monkeypatch.setattr(spla, "svds", lambda *a, **k: calls.append(a))
+    for kind in ("square", "wide", "hermitian"):
+        operator_norm(sparse_case(kind))
+    assert calls == []
+
+
+def test_sparse_operator_norm_logs_one_debug_record(caplog):
+    m = sparse_case("tall")
+    with caplog.at_level(logging.DEBUG, logger="jointspec"):
+        value = operator_norm(m)
+    records = [r for r in caplog.records if r.name == "jointspec"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    text = records[0].getMessage()
+    assert "150x60" in text and "Lanczos steps" in text and "residual" in text
+    assert value == operator_norm(m)

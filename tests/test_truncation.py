@@ -169,3 +169,28 @@ def test_ladder_equals_compressed_zeroed_tuple(model, lam, rhos):
     for rho in rhos:
         value, cert = truncated_gap(shifted, rho)
         assert (value, cert.C) == zeroed_then_compressed(shifted, rho)
+
+
+def test_chern_commutator_bound_matches_dense_norm():
+    from jointspec.composites import commutator_bound_2d
+
+    t = build_chern2d(20, 20)
+    x, y, h = (o.dense() for o in t.ops)
+    a = x + 1j * y
+    ref = np.linalg.norm(h @ a - a @ h, 2)
+    assert t.ops[-1].is_sparse
+    assert abs(commutator_bound_2d(t) - ref) <= 1e-12 * ref
+
+
+def test_rung_constant_matches_dense_norm():
+    shifted = shift_to_origin(build_chern2d(20, 20), [0.3, 0.2, 0.1])
+    h = shifted.ops[-1]
+    _, keep = compress_to_ball(shifted, 5.0)
+    h0 = _far_field_zeroing(h, keep, shifted.dim)
+    assert h0.is_sparse
+    zinv = np.diag(1.0 / distance_operator(shifted).diagonal().real)
+    hm, h0m = h.dense(), h0.dense()
+    ref = np.linalg.norm(zinv @ (hm @ h0m + h0m @ hm + h0m @ h0m) @ zinv, 2)
+    c = perturbation_constant(shifted, h, h0)
+    assert abs(c - ref) <= 1e-12 * ref
+    assert c == perturbation_constant(shifted, h, h0)
