@@ -9,6 +9,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,11 +19,11 @@ import time
 import numpy as np
 
 from .clifford import build_clifford
-from .composites import (clifford_gap, commutator_bound, quadratic_gap)
+from .composites import clifford_gap, gap_pair_with_bound, quadratic_gap
 from .errors import JointSpecError, NumericalFailure
-from .models import (EXAMPLE_NAMES, LatticeModelSpec, ScaledTuple,
-                     build_ssh_path, scale_positions)
-from .states import check_identity, extract_state, kappa_sweep
+from .models import (EXAMPLE_NAMES, LatticeModelSpec, build_ssh_path,
+                     scale_positions)
+from .states import kappa_sweep
 from .sweep import (GridSpec, epsilon_mask, model_fingerprint, spectral_flow,
                     sweep_grid)
 from .truncation import shift_to_origin, truncated_gap
@@ -50,19 +51,6 @@ def _atomic_write(path, writer):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _parse_model(arg: str, config_path=None) -> LatticeModelSpec:
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if config_path.endswith(".json"):
-            return LatticeModelSpec.from_json(text)
-        return LatticeModelSpec.from_text(text)
-    name = arg.replace("-", "_")
-    if name in EXAMPLE_NAMES:
-        return LatticeModelSpec(kind=f"example:{name}")
-    return LatticeModelSpec(kind=name)
 
 
 def _parse_lambda(text: str) -> np.ndarray:
@@ -123,8 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_model_args(g)
     g.add_argument("--lambda", dest="lam", required=True,
                    help="probe coordinates, comma separated")
-    g.add_argument("--both", action="store_true",
-                   help="(default) print quadratic and localizer gaps")
     g.add_argument("--kind", choices=["quadratic", "clifford"], default=None,
                    help="compute a single gap flavor")
     g.add_argument("--json-out", default=None)
@@ -184,14 +170,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_model(args) -> LatticeModelSpec:
-    spec = _parse_model(args.model or "", getattr(args, "model_config", None))
+    """The --model or --model-config model with the --param overrides, which
+    the spec converts and validates like any other parameter."""
+    config = getattr(args, "model_config", None)
+    if config:
+        with open(config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        spec = (LatticeModelSpec.from_json(text) if config.endswith(".json")
+                else LatticeModelSpec.from_text(text))
+    else:
+        name = (args.model or "").replace("-", "_")
+        spec = LatticeModelSpec(
+            kind=f"example:{name}" if name in EXAMPLE_NAMES else name)
+    overrides = {}
     for override in getattr(args, "param", []):
-        key, _, val = override.partition("=")
-        if not _:
+        key, eq, val = override.partition("=")
+        if not eq:
             raise JointSpecError(f"bad --param {override!r}; expected KEY=VAL")
-        spec.parameters[key] = (int(val) if key in ("n_cells", "nx", "ny")
-                                else float(val))
-    return spec
+        overrides[key] = val
+    return dataclasses.replace(spec, parameters={**spec.parameters,
+                                                 **overrides})
 
 
 def _built_tuple(args):
@@ -206,14 +204,16 @@ def _cmd_gap(args) -> int:
     t = _built_tuple(args)
     lam = _parse_lambda(args.lam)
     out = {"lambda": lam.tolist(), "model_fingerprint": model_fingerprint(t)}
+    rep = build_clifford(t.d_total)
     start = time.monotonic()
-    if args.kind in (None, "quadratic"):
+    if args.kind == "quadratic":
         out["mu_q"] = quadratic_gap(t, lam, accuracy=args.accuracy)
-    if args.kind in (None, "clifford"):
-        rep = build_clifford(t.d_total)
+    elif args.kind == "clifford":
         out["mu_c"] = clifford_gap(t, lam, rep, accuracy=args.accuracy)
-    if args.kind is None:
-        out["commutator_bound"] = commutator_bound(t)
+    else:
+        res = gap_pair_with_bound(t, lam, rep, accuracy=args.accuracy)
+        out.update(mu_q=res.mu_q, mu_c=res.mu_c,
+                   commutator_bound=res.commutator_bound)
     out["wall_time_s"] = round(time.monotonic() - start, 3)
     parts = [f"{k}={out[k]:.12g}" for k in ("mu_q", "mu_c", "commutator_bound")
              if k in out]
@@ -290,13 +290,9 @@ def _cmd_flow(args) -> int:
 def _cmd_states(args) -> int:
     lam = _parse_lambda(args.lam)
     t = _resolve_model(args).build()  # unscaled: a ladder replaces --kappa
-    if args.kappas:
-        kappas = [float(x) for x in args.kappas.split(",")]
-        reports = kappa_sweep(t, lam, kappas, accuracy=args.accuracy)
-    else:
-        reports = [extract_state(ScaledTuple(t, args.kappa), lam,
-                                 accuracy=args.accuracy)]
-        check_identity(reports[0])
+    kappas = ([float(x) for x in args.kappas.split(",")] if args.kappas
+              else [args.kappa])
+    reports = kappa_sweep(t, lam, kappas, accuracy=args.accuracy)
     for rep in reports:
         pos = ",".join(f"{x:.4g}" for x in rep.position_expectations)
         print(f"state kappa={rep.kappa:g} mu_q={rep.mu_q:.6g} "

@@ -68,7 +68,6 @@ __all__ = [
     "commutator_bound",
     "commutator_bound_2d",
     "minimizing_state",
-    "minimizing_state_and_gap",
     "reduced_localizer",
     "determinant_sign_index",
     "verify_symmetry",
@@ -157,28 +156,26 @@ class Pencil:
     Its value at lam is an array over a fixed pattern (a flattened dense
     matrix, or the data of a CSC matrix):
 
-        values(lam) = base + sum_j term_j(lam_j)
+        values(lam) = base + sum over terms of (x - lam_j) g  or  (x - lam_j)^2
 
     ``base`` is validated once, at construction.  A coordinate whose
     observable is diagonal (the position block of every built-in model)
-    touches its entries as ``(x - lam_j) g`` (affine composites) or
-    ``(x - lam_j)^2`` (the quadratic one), so no cancellation occurs.  Any
-    other coordinate touches them as ``-lam_j g``, plus ``lam_j^2`` on the
-    diagonal for the quadratic composite.  Every call returns a matrix on
-    fresh values; only the read-only pattern is shared between calls.
+    carries its diagonal as ``x``, so no cancellation occurs.  Any other
+    coordinate has ``x = 0``: its linear term touches the entries of the
+    composite as ``-lam_j g``, and the quadratic composite adds ``lam_j^2``
+    on the diagonal.  Every call returns a matrix on fresh values; only the
+    read-only pattern is shared between calls.
     """
 
-    __slots__ = ("dim", "fmt", "_base", "_indices", "_indptr", "_shift",
-                 "_lin", "_sq")
+    __slots__ = ("dim", "fmt", "_base", "_indices", "_indptr", "_terms")
 
-    def __init__(self, dim, fmt, base, shift=(), lin=(), sq=()):
+    def __init__(self, dim, fmt, base, terms):
         """``fmt`` is "dense" or "csc"; ``base`` is a validated
-        HermitianOperator in that format or None; ``shift`` holds
-        ``(j, rows, cols, x, g)`` (``g`` None for squares), ``lin`` holds
-        ``(j, rows, cols, g)`` and ``sq`` holds ``(j, rows, cols)``."""
+        HermitianOperator in that format or None; ``terms`` holds
+        ``(j, rows, cols, x, g)``, with ``g`` None for a square, in the
+        order they are added."""
         self.dim, self.fmt = dim, fmt
-        keys = [self._keys(rows, cols) for _, rows, cols, *_ in
-                (*shift, *lin, *sq)]
+        keys = [self._keys(rows, cols) for _, rows, cols, _, _ in terms]
         if fmt == "dense":
             self._indices = self._indptr = None
             self._base = (np.zeros(dim * dim, dtype=complex) if base is None
@@ -198,10 +195,8 @@ class Pencil:
             self._base = np.zeros(pattern.size, dtype=complex)
             if base is not None:
                 self._base[keys.pop()] = vals
-        pos = iter(keys)
-        self._shift = [(j, next(pos), x, g) for j, _, _, x, g in shift]
-        self._lin = [(j, next(pos), g) for j, _, _, g in lin]
-        self._sq = [(j, next(pos)) for j, _, _ in sq]
+        self._terms = [(j, pos, x, g)
+                       for (j, _, _, x, g), pos in zip(terms, keys)]
 
     def _keys(self, rows, cols):
         """Sort keys of entries: row-major offsets for a dense pencil,
@@ -215,13 +210,9 @@ class Pencil:
         lams = np.asarray(lams, dtype=float)
         out = np.empty((lams.shape[0], self._base.size), dtype=complex)
         out[:] = self._base
-        for j, pos, x, g in self._shift:
+        for j, pos, x, g in self._terms:
             s = x - lams[:, j, None]
             out[:, pos] += s * s if g is None else s * g
-        for j, pos, g in self._lin:
-            out[:, pos] -= lams[:, j, None] * g
-        for j, pos in self._sq:
-            out[:, pos] += lams[:, j, None] ** 2
         return out
 
     def matrix(self, values):
@@ -268,10 +259,10 @@ def _affine_pencil(ops, gammas, fmt, skip=()) -> Pencil:
         term = sp.kron(m, g, format="csr") if _is_sparse(m) else np.kron(m, g)
         base = term if base is None else base + term
         if j not in skip:
-            lin.append((j, rows, cols, gv))
+            lin.append((j, rows, cols, 0.0, gv))
     dim = n * gammas[0].shape[0]
-    return Pencil(dim, fmt, None if base is None
-                  else HermitianOperator(base, copy=False), shift, lin)
+    return Pencil(dim, fmt, None if base is None else HermitianOperator(base),
+                  shift + lin)
 
 
 def _quadratic_pencil(ops, fmt, skip=()) -> Pencil:
@@ -288,10 +279,10 @@ def _quadratic_pencil(ops, fmt, skip=()) -> Pencil:
         base = m @ m if base is None else base + m @ m
         if j not in skip:
             rows, cols, vals = _coo(m)
-            lin.append((j, rows, cols, 2.0 * vals))
-            sq.append((j, diag, diag))
-    return Pencil(n, fmt, None if base is None
-                  else HermitianOperator(base, copy=False), shift, lin, sq)
+            lin.append((j, rows, cols, 0.0, 2.0 * vals))
+            sq.append((j, diag, diag, 0.0, None))
+    return Pencil(n, fmt, None if base is None else HermitianOperator(base),
+                  shift + lin + sq)
 
 
 def _cached(t: ObservableTuple, key, variant, build):
@@ -577,9 +568,19 @@ def gap_pair_with_bound(t: ObservableTuple, lam, rep: CliffordRep,
 DEGENERACY_TOL = 1e-8
 
 
-def _lowest_eigenpairs(t: ObservableTuple, lam: ProbePoint, accuracy):
-    """Q_lam's pencil and values, and its two lowest eigenpairs (all of
-    them for a dense Q) from one residual-checked solve."""
+def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
+    """Unit eigenvector of Q_lam for its smallest eigenvalue, with mu^Q.
+
+    Returns ``(state, degenerate, mu_q)`` from one residual-checked solve of
+    Q_lam for its two lowest eigenpairs (all of them for a dense Q).
+    ``degenerate`` is set when the second eigenvalue lies within 1e-8 of the
+    smallest.  The solver's eigenvector is returned as-is (no canonical
+    phase), since a degenerate minimum has no preferred basis.  mu^Q follows
+    ``quadratic_gap``'s rules (PSD clamp check, eigen-error below
+    sqrt(machine eps) * ||Q||_F); it can differ from that function's value in
+    the last bits, which solves Q separately.
+    """
+    lam = _as_probe(lam)
     _check_probe(t, lam)
     pencil = quadratic_pencil(t, lam.coords)
     vals = pencil.values(lam.coords[None])[0]
@@ -596,39 +597,9 @@ def _lowest_eigenpairs(t: ObservableTuple, lam: ProbePoint, accuracy):
     resid = np.linalg.norm(m @ vec - w[0] * vec)
     if resid > 1e-8 * scale:
         raise NumericalFailure(f"minimizing state residual {resid:.3e} too large")
-    return pencil, vals, w, v
-
-
-def _state(w, v):
-    """The minimizing state and its degeneracy flag."""
     degenerate = len(w) > 1 and abs(w[1] - w[0]) <= DEGENERACY_TOL * max(1.0, abs(w[0]))
-    return StateVector(v[:, 0], normalize=True), bool(degenerate)
-
-
-def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
-    """Unit eigenvector of Q_lam for its smallest eigenvalue.
-
-    Returns ``(state, degenerate)``; ``degenerate`` is set when the second
-    eigenvalue lies within 1e-8 of the smallest.  The solver's eigenvector is
-    returned as-is (no canonical phase), since a degenerate minimum has no
-    preferred basis.
-    """
-    _, _, w, v = _lowest_eigenpairs(t, _as_probe(lam), accuracy)
-    return _state(w, v)
-
-
-def minimizing_state_and_gap(t: ObservableTuple, lam,
-                             accuracy: float = 1e-9):
-    """``minimizing_state`` plus mu^Q, from the same eigensolve of Q_lam.
-
-    mu^Q follows ``quadratic_gap``'s rules (PSD clamp check, eigen-error
-    below sqrt(machine eps) * ||Q||_F); it can differ from that function's
-    value in the last bits, which solves Q separately.
-    """
-    lam = _as_probe(lam)
-    pencil, vals, w, v = _lowest_eigenpairs(t, lam, accuracy)
-    mu = _quadratic_value(t, pencil, lam.coords, float(w[0]), vals, v[:, 0])
-    return (*_state(w, v), mu)
+    mu = _quadratic_value(t, pencil, lam.coords, float(w[0]), vals, vec)
+    return StateVector(vec, normalize=True), bool(degenerate), mu
 
 
 GRADING_TOL = 1e-10

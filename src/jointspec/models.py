@@ -177,10 +177,7 @@ def build_chern2d(nx: int, ny: int, A: float = 1.0, B: float = -1.0,
             "sites": nx * ny, "orbitals": 2, "shape": (nx, ny),
             "parameters": {"nx": nx, "ny": ny, "A": A, "B": B, "C": C,
                            "D": D, "M": M, "lattice_constant": lattice_constant}}
-    return ObservableTuple([HermitianOperator(x, copy=False),
-                            HermitianOperator(y, copy=False),
-                            HermitianOperator(h, copy=False)],
-                           commuting_prefix=2, meta=meta)
+    return ObservableTuple([x, y, h], commuting_prefix=2, meta=meta)
 
 
 @dataclass(frozen=True)
@@ -214,7 +211,7 @@ def scale_positions(t: ObservableTuple, kappa: float) -> ObservableTuple:
         raise ParameterOutOfRange("kappa must be positive")
     if t.commuting_prefix < 1:
         raise ParameterOutOfRange("tuple has no commuting position block")
-    ops = [HermitianOperator(kappa * o.mat, copy=False) if j < t.commuting_prefix
+    ops = [HermitianOperator(kappa * o.mat) if j < t.commuting_prefix
            else o for j, o in enumerate(t.ops)]
     meta = dict(t.meta)
     meta["kappa"] = kappa * meta.get("kappa", 1.0)
@@ -230,6 +227,7 @@ _KIND_PARAMS = {
     "ssh_path": {"t"},
     "chern2d": {"nx", "ny", "A", "B", "C", "D", "M", "lattice_constant"},
     "explicit": set(),
+    **{f"example:{name}": set() for name in EXAMPLE_NAMES},
 }
 _INT_PARAMS = {"n_cells", "nx", "ny"}
 
@@ -245,29 +243,36 @@ class LatticeModelSpec:
     name: str = ""
 
     def __post_init__(self):
-        known = set(_KIND_PARAMS) | {f"example:{n}" for n in EXAMPLE_NAMES}
-        if self.kind not in known:
+        """Check the kind and parameter names, and convert each parameter
+        (a number or its text) to an int or a finite float."""
+        if self.kind not in _KIND_PARAMS:
             raise ModelConfigError(f"unknown model kind {self.kind!r}")
-        if self.kind != "explicit":
-            extra = set(self.parameters) - _KIND_PARAMS.get(self.kind, set())
-            if self.kind in _KIND_PARAMS and extra:
-                raise ModelConfigError(
-                    f"unexpected parameters for {self.kind}: {sorted(extra)}")
+        extra = set(self.parameters) - _KIND_PARAMS[self.kind]
+        if extra:
+            raise ModelConfigError(
+                f"unexpected parameters for {self.kind}: {sorted(extra)}")
+        params = {}
         for k, val in self.parameters.items():
-            if not np.isfinite(val):
+            try:
+                params[k] = int(val) if k in _INT_PARAMS else float(val)
+            except (TypeError, ValueError, OverflowError):
+                raise ModelConfigError(
+                    f"parameter {k}={val!r} is not a number") from None
+            if not np.isfinite(params[k]):
                 raise ModelConfigError(f"parameter {k} is not finite")
+        self.parameters = params
 
     def build(self) -> ObservableTuple:
         p = self.parameters
         if self.kind.startswith("example:"):
             return build_example(self.kind.split(":", 1)[1])
         if self.kind == "ssh":
-            return build_ssh(int(p.get("n_cells", 4)), p.get("v", 0.7),
+            return build_ssh(p.get("n_cells", 4), p.get("v", 0.7),
                              p.get("w", 1.4))
         if self.kind == "ssh_path":
             return build_ssh_path(p.get("t", 0.0))
         if self.kind == "chern2d":
-            return build_chern2d(int(p.get("nx", 20)), int(p.get("ny", 20)),
+            return build_chern2d(p.get("nx", 20), p.get("ny", 20),
                                  p.get("A", 1.0), p.get("B", -1.0),
                                  p.get("C", 0.0), p.get("D", 0.0),
                                  p.get("M", -2.0), p.get("lattice_constant", 1.0))
@@ -303,7 +308,7 @@ class LatticeModelSpec:
             elif key == "commuting_prefix":
                 prefix = int(val)
             else:
-                params[key] = int(val) if key in _INT_PARAMS else float(val)
+                params[key] = val
         if kind is None:
             raise ModelConfigError("config is missing a 'kind' entry")
         matrices = [read_matrix_file(f) for f in files] or None
@@ -317,10 +322,8 @@ class LatticeModelSpec:
         except json.JSONDecodeError as exc:
             raise ModelConfigError(f"bad JSON model config: {exc}") from exc
         matrices = [read_matrix_file(f) for f in doc.get("matrix_files", [])] or None
-        params = doc.get("parameters", {})
-        params = {k: (int(v) if k in _INT_PARAMS else float(v))
-                  for k, v in params.items()}
-        return cls(kind=doc.get("kind", ""), parameters=params,
+        return cls(kind=doc.get("kind", ""),
+                   parameters=doc.get("parameters", {}),
                    explicit_matrices=matrices,
                    commuting_prefix=int(doc.get("commuting_prefix", 1)),
                    name=doc.get("name", ""))

@@ -89,18 +89,18 @@ class HermitianOperator:
 
     The constructor checks ``max|A - A^dag| <= 1e-12 * max(1, ||A||)`` and then
     symmetrizes ``A <- (A + A^dag)/2`` so round-off asymmetry cannot leak into
-    downstream eigensolvers.
+    downstream eigensolvers.  The symmetrized matrix is a new one, so the
+    operator never shares storage with its input.
     """
 
     __slots__ = ("_mat",)
 
-    def __init__(self, matrix, *, copy: bool = True):
+    def __init__(self, matrix):
         m = matrix.mat if isinstance(matrix, HermitianOperator) else matrix
         if _is_sparse(m):
-            m = m.tocsr(copy=copy)
+            m = m.tocsr()
         else:
-            m = (np.array(m, dtype=complex) if copy
-                 else np.asarray(m, dtype=complex))
+            m = np.asarray(m, dtype=complex)
             if m.ndim != 2:
                 raise InvalidOperator("expected a 2-d matrix")
         if m.shape[0] != m.shape[1] or m.shape[0] < 1:

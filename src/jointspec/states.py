@@ -15,12 +15,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import operators
 from .composites import (ObservableTuple, ProbePoint, _as_probe,
-                         minimizing_state_and_gap)
+                         minimizing_state)
 from .errors import NumericalFailure, ParameterOutOfRange
 from .models import ScaledTuple
-from .operators import (DENSE_EIGEN_CUTOFF, HermitianOperator, StateVector,
-                        expectation, variance_sq)
+from .operators import (HermitianOperator, StateVector, expectation,
+                        variance_sq)
 
 __all__ = [
     "LocalizedStateReport",
@@ -89,54 +90,37 @@ def _site_marginal(v: np.ndarray, orbitals: int) -> np.ndarray:
     return p
 
 
-def _energy_weights(h: HermitianOperator, v: np.ndarray, sigma: float):
+def _energy_weights(h: HermitianOperator, v: np.ndarray):
     """(eigenvalue, weight) pairs against the eigenbasis of H.
 
-    Exact for H up to ``DENSE_EIGEN_CUTOFF``; for larger models a
-    resolution-limited Gaussian profile around the measured energy
-    mean/spread stands in, and the report's ``energy_weights_exact`` flag is
-    cleared."""
-    if h.dim <= DENSE_EIGEN_CUTOFF:
-        evals, evecs = np.linalg.eigh(h.dense())
-        w = np.abs(evecs.conj().T @ v) ** 2
-        if abs(w.sum() - 1.0) > MARGINAL_TOL:
-            raise NumericalFailure("energy weights do not sum to 1",
-                                   details={"sum": float(w.sum())})
-        return [(float(e), float(x)) for e, x in zip(evals, w)], True
-    # large models: resolution-limited histogram from repeated applications
-    # of H is out of scope; report a Gaussian profile around the measured
-    # energy expectation/variance at the requested resolution
-    mean = expectation(h, StateVector(v, normalize=True))
-    var = variance_sq(h, StateVector(v, normalize=True))
-    width = float(np.sqrt(max(var, 0.0) + sigma ** 2))
-    grid = np.linspace(mean - 4 * width, mean + 4 * width, 81)
-    prof = np.exp(-0.5 * ((grid - mean) / width) ** 2)
-    prof /= prof.sum()
-    return [(float(e), float(x)) for e, x in zip(grid, prof)], False
+    Exact for H up to ``operators.DENSE_EIGEN_CUTOFF``; larger models get no
+    pairs, and the report's ``energy_weights_exact`` flag is cleared (their
+    energy mean and variance are still reported)."""
+    if h.dim > operators.DENSE_EIGEN_CUTOFF:
+        return [], False
+    evals, evecs = np.linalg.eigh(h.dense())
+    w = np.abs(evecs.conj().T @ v) ** 2
+    if abs(w.sum() - 1.0) > MARGINAL_TOL:
+        raise NumericalFailure("energy weights do not sum to 1",
+                               details={"sum": float(w.sum())})
+    return [(float(e), float(x)) for e, x in zip(evals, w)], True
 
 
-def extract_state(t, lam, accuracy: float = 1e-9,
-                  energy_sigma: float = 0.05) -> LocalizedStateReport:
+def extract_state(t, lam, accuracy: float = 1e-9) -> LocalizedStateReport:
     """Minimizing state of the quadratic composite, with marginals.
 
     ``t`` is a ScaledTuple (probe given in unscaled position units) or a plain
     ObservableTuple with the last operator as Hamiltonian.  Expectations and
     variances of the positions are reported in unscaled units.
     """
-    if isinstance(t, ScaledTuple):
-        kappa = t.kappa
-        base = t.base
-        scaled = t.build()
-        lam_scaled = t.scale_probe(
-            lam.coords if isinstance(lam, ProbePoint) else lam)
-    else:
-        kappa = 1.0
-        base = scaled = t
-        lam_scaled = np.atleast_1d(np.asarray(
-            lam.coords if isinstance(lam, ProbePoint) else lam, dtype=float))
     lam = _as_probe(lam)
-    state, degenerate, mu = minimizing_state_and_gap(scaled, lam_scaled,
-                                                     accuracy=accuracy)
+    if isinstance(t, ScaledTuple):
+        kappa, base, scaled = t.kappa, t.base, t.build()
+        lam_scaled = t.scale_probe(lam.coords)
+    else:
+        kappa, base, scaled, lam_scaled = 1.0, t, t, lam.coords
+    state, degenerate, mu = minimizing_state(scaled, lam_scaled,
+                                             accuracy=accuracy)
     v = _fix_phase(state.vec)
     state = StateVector(v, normalize=True)
 
@@ -148,7 +132,7 @@ def extract_state(t, lam, accuracy: float = 1e-9,
     e_var = variance_sq(h, state)
 
     orbitals = int(base.meta.get("orbitals", 1))
-    weights, exact = _energy_weights(h, v, energy_sigma)
+    weights, exact = _energy_weights(h, v)
     shape = base.meta.get("shape")
     return LocalizedStateReport(
         lam=lam, kappa=kappa, state=state,

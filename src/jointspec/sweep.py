@@ -344,8 +344,7 @@ def spectral_flow(path: Callable[[float], ObservableTuple], lam,
                 lam.coords if isinstance(lam, ProbePoint) else lam, dtype=float))
             x, h = model.ops
             if lam_arr.size > 1 and lam_arr[1] != 0.0:
-                h = HermitianOperator(h.dense() - lam_arr[1] * np.eye(h.dim),
-                                      copy=False)
+                h = HermitianOperator(h.dense() - lam_arr[1] * np.eye(h.dim))
             g = grading if grading is not None else ssh_grading(model.dim)
             red = reduced_localizer(x, h, float(lam_arr[0]), g)
             eigs = np.linalg.eigvals(red)

@@ -113,7 +113,7 @@ def distance_operator(t: ObservableTuple) -> HermitianOperator:
                 "a lattice site coincides with the probe; shift the probe by a "
                 "small offset (the gap is 1-Lipschitz in the probe) and retry")
         diag = sp.diags(z).tocsr() if any(o.is_sparse for o in ops) else np.diag(z)
-        return HermitianOperator(diag, copy=False)
+        return HermitianOperator(diag)
     acc = np.zeros((t.dim, t.dim), dtype=complex)
     for o in ops:
         m = o.dense()
@@ -121,7 +121,7 @@ def distance_operator(t: ObservableTuple) -> HermitianOperator:
     vals, vecs = np.linalg.eigh(acc)
     if vals.min() <= Z_MIN ** 2:
         raise ZNotInvertible("the squared-distance operator is singular")
-    return HermitianOperator((vecs * np.sqrt(vals)) @ vecs.conj().T, copy=False)
+    return HermitianOperator((vecs * np.sqrt(vals)) @ vecs.conj().T)
 
 
 def perturbation_constant(t: ObservableTuple, h: HermitianOperator,
@@ -163,7 +163,7 @@ def modified_gap_bounds(t: ObservableTuple, h0: HermitianOperator,
     c = perturbation_constant(t, h, h0)
     mu = quadratic_gap(t, np.zeros(t.d_total), accuracy=accuracy)
     modified = ObservableTuple(
-        list(t.ops[:-1]) + [HermitianOperator(h.mat + h0.mat, copy=False)],
+        list(t.ops[:-1]) + [HermitianOperator(h.mat + h0.mat)],
         commuting_prefix=t.commuting_prefix, meta=t.meta)
     mu_mod = quadratic_gap(modified, np.zeros(t.d_total), accuracy=accuracy)
     lower = float(np.sqrt(max(0.0, 1.0 - c)) * mu)
@@ -194,7 +194,7 @@ def compress_to_ball(t: ObservableTuple, rho: float):
         if o.is_sparse:
             sub = (sub.toarray() if solves_densely(keep.size, True)
                    else sub.tocsr())
-        ops.append(HermitianOperator(sub, copy=False))
+        ops.append(HermitianOperator(sub))
     meta = dict(t.meta)
     meta["compressed_to_rho"] = float(rho)
     return (ObservableTuple(ops, commuting_prefix=t.commuting_prefix, meta=meta),
@@ -211,7 +211,7 @@ def _far_field_zeroing(h, keep, dim):
         mask[keep] = True
         h0 = -np.array(h.mat)
         h0[np.ix_(mask, mask)] = 0.0
-    return HermitianOperator(h0, copy=False)
+    return HermitianOperator(h0)
 
 
 def truncated_gap(t: ObservableTuple, rho: float, accuracy: float = 1e-9,

@@ -190,7 +190,7 @@ def test_criterion_6a_four_ways_equality():
         lam = r.standard_normal(d)
         mu = js.quadratic_gap(t, lam)
         sigma = js.smallest_singular_value(js.tall_composite(t, lam))
-        state, _ = js.minimizing_state(t, lam)
+        state, _, _ = js.minimizing_state(t, lam)
         err = np.sqrt(sum(js.eigen_error(t.ops[j], state, lam[j]) ** 2
                           for j in range(d)))
         var_form = np.sqrt(sum(

@@ -36,11 +36,48 @@ def test_examples_listing(capsys):
 
 def test_gap_command_values(capsys):
     code, out, _ = run(capsys, "gap", "--model", "pauli_pair",
-                       "--lambda", "0,0", "--both")
+                       "--lambda", "0,0")
     assert code == 0
     assert "mu_q=1.41421356237" in out
     assert "mu_c=0" in out
     assert "commutator_bound=2" in out
+
+
+def test_gap_command_checks_the_commutator_bound(capsys, monkeypatch):
+    import jointspec.composites as composites
+
+    monkeypatch.setattr(composites, "commutator_bound", lambda t: 0.0)
+    code, _, err = run(capsys, "gap", "--model", "ssh", "--lambda", "3,0.2")
+    assert code == 3
+    assert "commutator bound violated" in err
+
+
+@pytest.mark.parametrize("params", [
+    ["nX=6", "ny=6"],           # unknown name
+    ["nx=6", "ny=6", "A=nan"],  # not finite
+    ["nx=6", "ny=six"],         # not a number
+])
+def test_gap_rejects_bad_params(capsys, params):
+    argv = ["gap", "--model", "chern2d", "--lambda", "0,0,0"]
+    for p in params:
+        argv += ["--param", p]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "error:" in err
+
+
+def test_gap_rejects_params_of_an_example(capsys):
+    code, _, err = run(capsys, "gap", "--model", "pauli_pair",
+                       "--param", "v=3", "--lambda", "0,0")
+    assert code == 2
+    assert "unexpected parameters" in err
+
+
+def test_gap_with_params_prints_the_known_line(capsys):
+    code, out, _ = run(capsys, "gap", "--model", "chern2d", "--param", "nx=6",
+                       "--param", "ny=6", "--lambda", "0,0,0")
+    assert code == 0
+    assert out.startswith("gap lambda=(0,0,0) mu_q=1.67320051014 "
+                          "mu_c=0.561659359864 commutator_bound=3.74514119732 ")
 
 
 def test_gap_single_kind_json(capsys, tmp_path):

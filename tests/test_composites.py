@@ -108,18 +108,19 @@ def test_commutator_bound_2d_tighter_form():
 def test_minimizing_state_residual():
     t = random_tuple(2, 8, seed=4)
     lam = [0.2, 0.1]
-    state, degenerate = minimizing_state(t, lam)
+    state, degenerate, mu_q = minimizing_state(t, lam)
     q = quadratic_operator(t, lam).dense()
     mu2 = quadratic_gap(t, lam) ** 2
     resid = np.linalg.norm(q @ state.vec - mu2 * state.vec)
     assert resid < 1e-7
     assert isinstance(degenerate, bool)
+    assert abs(mu_q ** 2 - mu2) <= 1e-12 * max(1.0, mu2)
 
 
 def test_minimizing_state_degenerate_flag():
     # at the origin Q for the Pauli pair is 2 I: fully degenerate
     t = build_example("pauli_pair")
-    _, degenerate = minimizing_state(t, [0.0, 0.0])
+    _, degenerate, _ = minimizing_state(t, [0.0, 0.0])
     assert degenerate
 
 

@@ -177,6 +177,20 @@ def test_model_spec_errors():
         LatticeModelSpec.from_json("{bad json")
     with pytest.raises(ModelConfigError):
         LatticeModelSpec(kind="warp_drive")
+    with pytest.raises(ModelConfigError):
+        LatticeModelSpec(kind="example:pauli_pair", parameters={"v": 3})
+    with pytest.raises(ModelConfigError):
+        LatticeModelSpec(kind="explicit", parameters={"v": 1.0})
+    with pytest.raises(ModelConfigError):
+        LatticeModelSpec.from_text("kind = ssh\nv = fast\n")
+    with pytest.raises(ModelConfigError):
+        LatticeModelSpec(kind="chern2d", parameters={"A": float("nan")})
+
+
+def test_model_spec_converts_raw_values():
+    spec = LatticeModelSpec(kind="chern2d", parameters={"nx": "6", "A": "0.5"})
+    assert spec.parameters == {"nx": 6, "A": 0.5}
+    assert type(spec.parameters["nx"]) is int
 
 
 def test_matrix_file_roundtrip(tmp_path):

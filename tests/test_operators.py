@@ -49,6 +49,22 @@ def test_sparse_roundtrip():
     np.testing.assert_allclose(op.dense(), np.diag([1.0, -2.0, 3.0]))
 
 
+@pytest.mark.parametrize("kind", ["dense complex", "dense real", "csr"])
+def test_operator_never_aliases_its_input(kind):
+    m = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 0.5], [0.0, 0.5, 3.0]])
+    if kind == "dense complex":
+        m = m.astype(complex)
+    elif kind == "csr":
+        m = sp.csr_matrix(m)
+    op = HermitianOperator(m)
+    kept = op.dense().copy()
+    if kind == "csr":
+        m.data[:] = 7.0
+    else:
+        m[:] = 7.0
+    np.testing.assert_array_equal(op.dense(), kept)
+
+
 def test_is_diagonal_dense():
     assert HermitianOperator(np.diag([1.0, 2.0])).is_diagonal
     assert not HermitianOperator(np.array([[0, 1.0], [1.0, 0]])).is_diagonal

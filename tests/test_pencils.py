@@ -15,7 +15,8 @@ from jointspec.composites import (ObservableTuple, clifford_gap,
                                   localizer_pencil, quadratic_gap,
                                   quadratic_pencil)
 from jointspec.errors import NumericalFailure
-from jointspec.models import build_chern2d, build_ssh, scale_positions
+from jointspec.models import (build_chern2d, build_example, build_ssh,
+                              scale_positions)
 from jointspec.operators import (HermitianOperator, eigenpair_nearest_zero,
                                  solves_densely)
 from jointspec.sweep import GridSpec, sweep_grid
@@ -99,13 +100,25 @@ def test_both_sides_of_dense_cutoff(monkeypatch, n, fmt):
 
 
 def test_pencil_matches_direct_assembly():
-    t = scale_positions(build_chern2d(4, 4), 0.5)
-    rep = build_clifford(3)
-    for lam in ([0.3, -0.2, 0.1], [0.0, 0.0, 0.0], [1.1, 0.4, -0.7]):
-        q = quadratic_pencil(t, lam).at(lam)
-        ell = localizer_pencil(t, rep, lam).at(lam)
-        np.testing.assert_allclose(q, direct_q(t, lam), atol=1e-13)
-        np.testing.assert_allclose(ell, direct_l(t, lam, rep), atol=1e-14)
+    cases = [
+        # dense pencils, diagonal positions
+        (scale_positions(build_chern2d(4, 4), 0.5),
+         ([0.3, -0.2, 0.1], [0.0, 0.0, 0.0], [1.1, 0.4, -0.7])),
+        # two non-diagonal coordinates: linear and square terms only
+        (build_example("pair_3x3"), ([0.3, -0.2], [0.0, 0.0], [-1.1, 0.4])),
+        # CSC pencils; lam_E = 0 leaves H's linear terms out
+        (sparse_pair(600, seed=7), ([0.3, -0.2], [0.3, 0.0], [-1.1, 0.4])),
+    ]
+    for t, probes in cases:
+        rep = build_clifford(t.d_total)
+        for lam in probes:
+            assert quadratic_pencil(t, lam).fmt == \
+                ("csc" if t.is_sparse else "dense")
+            q = quadratic_pencil(t, lam).at(lam)
+            ell = localizer_pencil(t, rep, lam).at(lam)
+            q, ell = (m.toarray() if sp.issparse(m) else m for m in (q, ell))
+            np.testing.assert_allclose(q, direct_q(t, lam), atol=1e-13)
+            np.testing.assert_allclose(ell, direct_l(t, lam, rep), atol=1e-14)
 
 
 def test_pencil_calls_never_share_values():
@@ -299,7 +312,7 @@ def test_minimizing_state_dense_fallback_is_logged(no_convergence, caplog):
     t = sparse_pair(600, seed=3)
     lam = [0.2, 0.1]
     with caplog.at_level(logging.WARNING, logger="jointspec"):
-        state, _ = composites.minimizing_state(t, lam)
+        state, _, _ = composites.minimizing_state(t, lam)
     assert state.dim == 600
     assert len(fallback_warnings(caplog)) == 1
     q = direct_q(t, lam)
@@ -420,7 +433,7 @@ def test_sparse_minimizing_state_matches_dense():
     t = chern_half(20)  # Q dim 800: sparse, k = 2
     lam = [0.3, -0.2, 0.0]
     assert quadratic_pencil(t, lam).fmt == "csc"
-    state, degenerate = composites.minimizing_state(t, lam)
+    state, degenerate, _ = composites.minimizing_state(t, lam)
     q = direct_q(t, lam)
     w = np.linalg.eigvalsh(q)
     rayleigh = np.vdot(state.vec, q @ state.vec).real

@@ -91,6 +91,20 @@ def test_kappa_tradeoff_small_lattice():
             > reports[0].position_variances.sum())
 
 
+def test_no_energy_weights_above_the_dense_cutoff(monkeypatch, tmp_path):
+    from jointspec import operators
+
+    monkeypatch.setattr(operators, "DENSE_EIGEN_CUTOFF", 4)
+    rep = extract_state(build_ssh(4, 0.7, 1.4), [4.0, 0.0])  # dim 8
+    assert rep.energy_weights == []
+    assert not rep.energy_weights_exact
+    path = tmp_path / "state.json"
+    rep.to_json(path)
+    doc = json.loads(path.read_text())
+    assert doc["energy_weights"] == [] and not doc["energy_weights_exact"]
+    check_identity(rep)
+
+
 def test_report_json_roundtrip(tmp_path):
     t = build_chern2d(4, 4)
     rep = extract_state(ScaledTuple(t, 0.5), [1.0, 0.0, 0.0])

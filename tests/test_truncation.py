@@ -152,7 +152,7 @@ def zeroed_then_compressed(t, rho):
     _, keep = compress_to_ball(t, rho)
     h0 = _far_field_zeroing(h, keep, t.dim)
     zeroed = ObservableTuple(
-        list(t.ops[:-1]) + [HermitianOperator(h.mat + h0.mat, copy=False)],
+        list(t.ops[:-1]) + [HermitianOperator(h.mat + h0.mat)],
         commuting_prefix=t.commuting_prefix, meta=t.meta)
     compressed, _ = compress_to_ball(zeroed, rho)
     mu = quadratic_gap(compressed, np.zeros(t.d_total))
