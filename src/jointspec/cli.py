@@ -22,7 +22,7 @@ from .clifford import build_clifford
 from .composites import clifford_gap, gap_pair_with_bound, quadratic_gap
 from .errors import JointSpecError, NumericalFailure
 from .models import (EXAMPLE_NAMES, LatticeModelSpec, build_ssh_path,
-                     scale_positions)
+                     scale_positions, write_json)
 from .states import kappa_sweep
 from .sweep import (GridSpec, epsilon_mask, model_fingerprint, spectral_flow,
                     sweep_grid)
@@ -61,7 +61,7 @@ def _parse_lambda(text: str) -> np.ndarray:
 
 
 def _parse_grid(text: str, d_total: int) -> tuple:
-    """`name=min:max:count[,name=...]` -> (GridSpec, axis order names).
+    """`name=min:max:count[,name=...]` -> (axes, swept coordinate indices).
 
     Axis names x, y, E map onto probe coordinates by position: x->0, y->1
     (when present), E->last.  Unnamed `min:max:count` entries fill
@@ -220,14 +220,8 @@ def _cmd_gap(args) -> int:
     print(f"gap lambda=({args.lam}) " + " ".join(parts)
           + f" time={out['wall_time_s']}s")
     if args.json_out:
-        _atomic_write(args.json_out, lambda p: _dump_json(out, p))
+        _atomic_write(args.json_out, lambda p: write_json(out, p))
     return 0
-
-
-def _dump_json(doc, path):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
 
 
 def _cmd_sweep(args) -> int:
@@ -344,7 +338,7 @@ def _cmd_truncate(args) -> int:
               f"interval=[{lo:.10g}, {hi:.10g}]"
               + ("" if cert.valid else " (C >= 1: upper bound vacuous)"))
     if args.json_out:
-        _atomic_write(args.json_out, lambda p: _dump_json(
+        _atomic_write(args.json_out, lambda p: write_json(
             {"lambda": lam.tolist(), "mu_full": mu_full,
              "ladder": results}, p))
     return 0

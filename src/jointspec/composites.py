@@ -129,8 +129,7 @@ class ObservableTuple:
         self.ops = ops
         self.commuting_prefix = commuting_prefix
         self.meta = dict(meta or {})
-        #: composite pencils, built on the first gap call, and the
-        #: per-observable diagonal flags that select their variant
+        #: composite pencils, built on the first gap call
         self._pencils = {}
 
     @property
@@ -305,10 +304,8 @@ def _zero_terms(t: ObservableTuple, fmt: str, lam) -> tuple:
     pencil leaves out: stored zeros would enlarge the factorization."""
     if fmt == "dense" or lam is None:
         return ()
-    diagonal = _cached(t, "diagonal", None,
-                       lambda: [o.is_diagonal for o in t.ops])
     return tuple(j for j, s in enumerate(lam)
-                 if s == 0.0 and not diagonal[j])
+                 if s == 0.0 and not t.ops[j].is_diagonal)
 
 
 def quadratic_pencil(t: ObservableTuple, lam=None) -> Pencil:
@@ -417,8 +414,10 @@ def _quadratic_value(t, pencil, lam, w, vals, v) -> float:
     """mu^Q from Q's smallest eigenvalue w (nearest 0, for a sparse Q), with
     the PSD clamp check and the unsquared re-evaluation of values too small
     to trust.  ``v`` is w's eigenvector if the solve gave one; a sparse Q
-    without one was singular."""
-    scale = max(1.0, float(np.linalg.norm(vals)))
+    without one was singular.  Both decisions scale with sum_j (||X_j|| +
+    |lam_j|)^2 >= ||Q|| (norm bounds), which unlike ||Q||_F is size-free."""
+    scale = max(1.0, sum((o.norm_bound + abs(s)) ** 2
+                         for o, s in zip(t.ops, lam)))
     if w < -NEGATIVE_EIG_TOL * scale:
         raise NumericalFailure(f"Q eigenvalue {w:.3e} below the PSD clamp")
     w = max(w, 0.0)
@@ -429,7 +428,7 @@ def _quadratic_value(t, pencil, lam, w, vals, v) -> float:
     if v is None:
         if pencil.fmt != "dense":
             return 0.0
-        v = np.linalg.eigh(pencil.matrix(vals))[1][:, 0]
+        v = eigenpair_nearest_zero(pencil.matrix(vals))[1][:, 0]
     mu = float(np.sqrt(sum(np.linalg.norm(o.mat @ v - s * v) ** 2
                            for o, s in zip(t.ops, lam))))
     _LOG.info("low-confidence Q eigenvalue %.3e (scale %.3e) at %s: "
@@ -501,9 +500,7 @@ def gap_values(t: ObservableTuple, lams, kind: str,
 
 
 def _single(t, lam, kind, rep, accuracy) -> float:
-    lam = _as_probe(lam)
-    _check_probe(t, lam)
-    value = gap_values(t, lam.coords[None], kind, rep, accuracy)[0]
+    value = gap_values(t, _as_probe(lam).coords[None], kind, rep, accuracy)[0]
     if isinstance(value, NumericalFailure):
         raise value
     return value
@@ -513,9 +510,9 @@ def quadratic_gap(t: ObservableTuple, lam, accuracy: float = 1e-9) -> float:
     """mu^Q at lam: square root of the smallest eigenvalue of Q_lam.
 
     Computed from the n x n eigenproblem for Q.  Squaring loses accuracy near
-    zero, so values below sqrt(machine eps) * ||Q||_F are recomputed as the
-    eigen-error (sum_j ||(X_j - lam_j) v||^2)^(1/2) at Q's minimizing
-    eigenvector v.
+    zero, so values below sqrt(machine eps) * sum_j (||X_j|| + |lam_j|)^2 are
+    recomputed as the eigen-error (sum_j ||(X_j - lam_j) v||^2)^(1/2) at Q's
+    minimizing eigenvector v.
     """
     return _single(t, lam, "quadratic", None, accuracy)
 
@@ -572,12 +569,11 @@ def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
     """Unit eigenvector of Q_lam for its smallest eigenvalue, with mu^Q.
 
     Returns ``(state, degenerate, mu_q)`` from one residual-checked solve of
-    Q_lam for its two lowest eigenpairs (all of them for a dense Q).
-    ``degenerate`` is set when the second eigenvalue lies within 1e-8 of the
-    smallest.  The solver's eigenvector is returned as-is (no canonical
+    Q_lam for its two lowest eigenpairs; ``degenerate`` is set when the
+    second eigenvalue lies within 1e-8 of the smallest.  The solver's eigenvector is returned as-is (no canonical
     phase), since a degenerate minimum has no preferred basis.  mu^Q follows
-    ``quadratic_gap``'s rules (PSD clamp check, eigen-error below
-    sqrt(machine eps) * ||Q||_F); it can differ from that function's value in
+    ``quadratic_gap``'s rules (PSD clamp check, eigen-error for values too
+    small to trust); it can differ from that function's value in
     the last bits, which solves Q separately.
     """
     lam = _as_probe(lam)
@@ -585,13 +581,10 @@ def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
     pencil = quadratic_pencil(t, lam.coords)
     vals = pencil.values(lam.coords[None])[0]
     m = pencil.matrix(vals)
-    if pencil.fmt == "dense":
-        w, v = np.linalg.eigh(m)
-    else:
-        w, v = eigenpair_nearest_zero(m, accuracy, k=2)
-        if v is None:
-            raise NumericalFailure("Q is singular: minimizing state not "
-                                   "recovered", details={"dim": pencil.dim})
+    w, v = eigenpair_nearest_zero(m, accuracy, k=2)
+    if v is None:
+        raise NumericalFailure("Q is singular: minimizing state not "
+                               "recovered", details={"dim": pencil.dim})
     vec = v[:, 0]
     scale = max(1.0, _fro_norm(m))
     resid = np.linalg.norm(m @ vec - w[0] * vec)

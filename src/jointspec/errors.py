@@ -24,10 +24,6 @@ class NumericalFailure(JointSpecError):
         self.details = details or {}
 
 
-class DegenerateScalars(JointSpecError):
-    """Two scalars required to be distinct are equal."""
-
-
 class UnsupportedDimension(JointSpecError):
     """Requested Clifford representation dimension is out of range."""
 

@@ -12,6 +12,7 @@ Conventions fixed for reproducible serialization:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -36,13 +37,14 @@ __all__ = [
     "EXAMPLE_NAMES",
     "read_matrix_file",
     "write_matrix_file",
+    "write_json",
 ]
 
 #: 2D Hilbert spaces larger than this are assembled sparse
 SPARSE_SITE_THRESHOLD = 64
 
 
-def build_ssh(n_cells: int, v: float, w: float) -> ObservableTuple:
+def build_ssh(n_cells: int = 4, v: float = 0.7, w: float = 1.4) -> ObservableTuple:
     """Finite SSH chain of 2*n_cells sites: position X and Hamiltonian H.
 
     H is tridiagonal with hoppings alternating v, w; X = diag(1, ..., 2n).
@@ -59,7 +61,7 @@ def build_ssh(n_cells: int, v: float, w: float) -> ObservableTuple:
                            commuting_prefix=1, meta=meta)
 
 
-def build_ssh_path(t: float) -> ObservableTuple:
+def build_ssh_path(t: float = 0.0) -> ObservableTuple:
     """SSH interpolation: v = 0.7(1-t) + 1.4t, w = 1.4(1-t) + 0.7t, 4 cells.
 
     t=0 is the trivial-dimerization endpoint, t=1 swaps the hoppings.
@@ -135,7 +137,7 @@ def build_example(name: str) -> ObservableTuple:
 # 2D Chern insulator (single spin sector of the HgTe model)
 
 
-def build_chern2d(nx: int, ny: int, A: float = 1.0, B: float = -1.0,
+def build_chern2d(nx: int = 20, ny: int = 20, A: float = 1.0, B: float = -1.0,
                   C: float = 0.0, D: float = 0.0, M: float = -2.0,
                   lattice_constant: float = 1.0) -> ObservableTuple:
     """Square-lattice Chern insulator with open boundaries: (X, Y, H).
@@ -222,14 +224,17 @@ def scale_positions(t: ObservableTuple, kappa: float) -> ObservableTuple:
 # model specification / config parsing
 
 
-_KIND_PARAMS = {
-    "ssh": {"n_cells", "v", "w"},
-    "ssh_path": {"t"},
-    "chern2d": {"nx", "ny", "A", "B", "C", "D", "M", "lattice_constant"},
-    "explicit": set(),
-    **{f"example:{name}": set() for name in EXAMPLE_NAMES},
+#: kind -> (builder, {parameter: int or float}); the builders hold the defaults
+_KINDS = {
+    "ssh": (build_ssh, {"n_cells": int, "v": float, "w": float}),
+    "ssh_path": (build_ssh_path, {"t": float}),
+    "chern2d": (build_chern2d, {"nx": int, "ny": int, "A": float, "B": float,
+                                "C": float, "D": float, "M": float,
+                                "lattice_constant": float}),
+    "explicit": (None, {}),
+    **{f"example:{name}": (functools.partial(build_example, name), {})
+       for name in EXAMPLE_NAMES},
 }
-_INT_PARAMS = {"n_cells", "nx", "ny"}
 
 
 @dataclass
@@ -245,16 +250,17 @@ class LatticeModelSpec:
     def __post_init__(self):
         """Check the kind and parameter names, and convert each parameter
         (a number or its text) to an int or a finite float."""
-        if self.kind not in _KIND_PARAMS:
+        if self.kind not in _KINDS:
             raise ModelConfigError(f"unknown model kind {self.kind!r}")
-        extra = set(self.parameters) - _KIND_PARAMS[self.kind]
+        types = _KINDS[self.kind][1]
+        extra = set(self.parameters) - set(types)
         if extra:
             raise ModelConfigError(
                 f"unexpected parameters for {self.kind}: {sorted(extra)}")
         params = {}
         for k, val in self.parameters.items():
             try:
-                params[k] = int(val) if k in _INT_PARAMS else float(val)
+                params[k] = types[k](val)
             except (TypeError, ValueError, OverflowError):
                 raise ModelConfigError(
                     f"parameter {k}={val!r} is not a number") from None
@@ -263,29 +269,17 @@ class LatticeModelSpec:
         self.parameters = params
 
     def build(self) -> ObservableTuple:
-        p = self.parameters
-        if self.kind.startswith("example:"):
-            return build_example(self.kind.split(":", 1)[1])
-        if self.kind == "ssh":
-            return build_ssh(p.get("n_cells", 4), p.get("v", 0.7),
-                             p.get("w", 1.4))
-        if self.kind == "ssh_path":
-            return build_ssh_path(p.get("t", 0.0))
-        if self.kind == "chern2d":
-            return build_chern2d(p.get("nx", 20), p.get("ny", 20),
-                                 p.get("A", 1.0), p.get("B", -1.0),
-                                 p.get("C", 0.0), p.get("D", 0.0),
-                                 p.get("M", -2.0), p.get("lattice_constant", 1.0))
-        if self.kind == "explicit":
-            if not self.explicit_matrices:
-                raise ModelConfigError("explicit model has no matrices")
-            return ObservableTuple(
-                [HermitianOperator(m) for m in self.explicit_matrices],
-                commuting_prefix=self.commuting_prefix,
-                meta={"kind": "explicit", "name": self.name,
-                      "axis_names": tuple(f"x{j+1}"
-                                          for j in range(len(self.explicit_matrices)))})
-        raise ModelConfigError(f"cannot build kind {self.kind!r}")
+        builder = _KINDS[self.kind][0]
+        if builder is not None:
+            return builder(**self.parameters)
+        if not self.explicit_matrices:
+            raise ModelConfigError("explicit model has no matrices")
+        return ObservableTuple(
+            [HermitianOperator(m) for m in self.explicit_matrices],
+            commuting_prefix=self.commuting_prefix,
+            meta={"kind": "explicit", "name": self.name,
+                  "axis_names": tuple(f"x{j+1}"
+                                      for j in range(len(self.explicit_matrices)))})
 
     @classmethod
     def from_text(cls, text: str) -> "LatticeModelSpec":
@@ -330,8 +324,15 @@ class LatticeModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# dense complex matrix interchange format: header `n`, then n^2 lines
-# `row col re im` (0-based indices)
+# output files: JSON documents, and the dense complex matrix interchange
+# format (header `n`, then n^2 lines `row col re im`, 0-based indices)
+
+
+def write_json(doc, path) -> None:
+    """``doc`` as indented JSON; NaN and infinities raise ValueError."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        json.dump(doc, fh, indent=1, allow_nan=False)
+        fh.write("\n")
 
 
 def read_matrix_file(path) -> np.ndarray:

@@ -90,10 +90,11 @@ class HermitianOperator:
     The constructor checks ``max|A - A^dag| <= 1e-12 * max(1, ||A||)`` and then
     symmetrizes ``A <- (A + A^dag)/2`` so round-off asymmetry cannot leak into
     downstream eigensolvers.  The symmetrized matrix is a new one, so the
-    operator never shares storage with its input.
+    operator never shares storage with its input.  ``is_diagonal`` and
+    ``norm_bound`` are computed on first use.
     """
 
-    __slots__ = ("_mat",)
+    __slots__ = ("_mat", "_diagonal", "_bound")
 
     def __init__(self, matrix):
         m = matrix.mat if isinstance(matrix, HermitianOperator) else matrix
@@ -118,6 +119,7 @@ class HermitianOperator:
         if _is_sparse(m):
             m = m.tocsr()
         self._mat = m
+        self._diagonal = self._bound = None
 
     @classmethod
     def trusted(cls, matrix) -> "HermitianOperator":
@@ -125,6 +127,7 @@ class HermitianOperator:
         or re-checking it (composites assembled from validated parts)."""
         op = cls.__new__(cls)
         op._mat = matrix
+        op._diagonal = op._bound = None
         return op
 
     @property
@@ -147,13 +150,18 @@ class HermitianOperator:
 
     @property
     def is_diagonal(self) -> bool:
-        off = self._mat - (sp.diags(self._mat.diagonal()) if self.is_sparse
-                           else np.diag(self._mat.diagonal()))
-        return _max_abs(off) == 0.0
+        if self._diagonal is None:
+            off = self._mat - (sp.diags(self._mat.diagonal()) if self.is_sparse
+                               else np.diag(self._mat.diagonal()))
+            self._diagonal = _max_abs(off) == 0.0
+        return self._diagonal
 
-    def __matmul__(self, other):
-        o = other.mat if isinstance(other, HermitianOperator) else other
-        return self._mat @ o
+    @property
+    def norm_bound(self) -> float:
+        """Upper bound on the operator norm from the row and column 1-norms."""
+        if self._bound is None:
+            self._bound = _norm_upper_bound(self._mat)
+        return self._bound
 
     def __repr__(self):
         kind = "sparse" if self.is_sparse else "dense"
@@ -313,19 +321,28 @@ def _shift_invert(ms, sigma, k, accuracy, v0):
     return spla.eigsh(ms, k=k, sigma=sigma, which="LM", tol=accuracy, v0=v0)
 
 
-def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1):
-    """The k eigenpairs of Hermitian `m` nearest 0 by shift-invert ARPACK.
+def _dense_nearest_zero(m, k):
+    """LAPACK's k eigenpairs of `m` nearest 0, stably ordered by |w|."""
+    w, v = np.linalg.eigh(m.toarray() if _is_sparse(m) else m)
+    order = np.argsort(np.abs(w), kind="stable")[:k]
+    return w[order], v[:, order]
 
-    Returns ``(values, vectors)`` sorted by distance from 0; the start
-    vector is fixed.  A singular factorization means 0 is an eigenvalue: a
-    tiny jittered shift is retried.  If shift-invert gives no eigenpairs
+
+def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1):
+    """The k eigenpairs of Hermitian `m` nearest 0, sorted by distance from 0.
+
+    ``solves_densely`` picks the solver: LAPACK, or shift-invert ARPACK with
+    a fixed start vector.  A singular factorization means 0 is an eigenvalue:
+    a tiny jittered shift is retried.  If shift-invert gives no eigenpairs
     (singular at both shifts, or no convergence), a matrix of dimension up to
-    ``DENSE_EIGEN_CUTOFF`` is solved by a dense eigendecomposition, with a
-    warning; a larger one gives ``(zeros, None)`` when singular and raises
+    ``DENSE_EIGEN_CUTOFF`` is solved by LAPACK after all, with a warning; a
+    larger one gives ``(zeros, None)`` when singular and raises
     NumericalFailure when ARPACK did not converge.  Every event is logged.
     """
+    n = m.shape[0]
+    if solves_densely(n, _is_sparse(m)):
+        return _dense_nearest_zero(m, k)
     ms = m if _is_sparse(m) and m.format == "csc" else sp.csc_matrix(m)
-    n = ms.shape[0]
     v0 = start_vector(n)
     reason = "singular at both shifts"
     for attempt in range(2):
@@ -352,9 +369,7 @@ def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1):
         return np.zeros(k), None
     _LOG.warning("shift-invert on dim %d gave no eigenpairs (%s); dense "
                  "eigendecomposition used", n, reason)
-    w, v = np.linalg.eigh(ms.toarray())
-    order = np.argsort(np.abs(w))[:k]
-    return w[order], v[:, order]
+    return _dense_nearest_zero(ms, k)
 
 
 def smallest_singular_value(a, accuracy: float = 1e-9) -> float:
@@ -384,7 +399,7 @@ def expectation(a: HermitianOperator, v: StateVector) -> float:
     against 1e-12 * ||A|| and discarded."""
     _check_dims(a, v)
     val = np.vdot(v.vec, a.mat @ v.vec)
-    scale = max(1.0, _norm_upper_bound(a.mat))
+    scale = max(1.0, a.norm_bound)
     if abs(val.imag) > 1e-12 * scale:
         raise NumericalFailure(f"expectation has imaginary residue {val.imag:.3e}")
     return float(val.real)

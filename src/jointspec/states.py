@@ -9,7 +9,6 @@ against energy localization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,7 +18,7 @@ from . import operators
 from .composites import (ObservableTuple, ProbePoint, _as_probe,
                          minimizing_state)
 from .errors import NumericalFailure, ParameterOutOfRange
-from .models import ScaledTuple
+from .models import ScaledTuple, write_json
 from .operators import (HermitianOperator, StateVector, expectation,
                         variance_sq)
 
@@ -53,7 +52,7 @@ class LocalizedStateReport:
     site_shape: Optional[tuple] = None
 
     def to_json(self, path) -> None:
-        doc = {
+        write_json({
             "lambda": self.lam.coords.tolist(),
             "kappa": self.kappa,
             "mu_q": self.mu_q,
@@ -68,10 +67,7 @@ class LocalizedStateReport:
             "energy_weights": [[e, w] for e, w in self.energy_weights],
             "state_re": self.state.vec.real.tolist(),
             "state_im": self.state.vec.imag.tolist(),
-        }
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        }, path)
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ the threshold, so every cell of the epsilon-set is still evaluated exactly.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -21,11 +20,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .clifford import CliffordRep, build_clifford
-from .composites import (GAP_KINDS, ObservableTuple, ProbePoint, gap_values,
-                         localizer, quadratic_operator, reduced_localizer)
+from .composites import (ObservableTuple, ProbePoint, gap_values, localizer,
+                         quadratic_operator, reduced_localizer)
 from .errors import (ChiralSymmetryViolation, DimensionMismatch,
                      NumericalFailure, ParameterOutOfRange)
-from .models import ssh_grading
+from .models import ssh_grading, write_json
 from .operators import HermitianOperator
 
 __all__ = [
@@ -136,18 +135,13 @@ class GapGrid:
                         for n, (lo, hi, c) in zip(names, self.spec.axes))
 
     def to_csv(self, path) -> None:
-        """Rows `x,y,value` in row-major order, 17 significant digits."""
-        xs = self.spec.points(0)
-        ys = self.spec.points(1) if len(self.spec.axes) > 1 else None
+        """Rows `x[,y],value` in row-major order, 17 significant digits."""
+        points = [self.spec.points(ax) for ax in range(len(self.spec.axes))]
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(f"# {self.kind},{self._axes_label()},{self.model_fingerprint}\n")
-            if ys is None:
-                for i, x in enumerate(xs):
-                    fh.write(f"{x:.17g},{self.values[i]:.17g}\n")
-            else:
-                for i, x in enumerate(xs):
-                    for j, y in enumerate(ys):
-                        fh.write(f"{x:.17g},{y:.17g},{self.values[i, j]:.17g}\n")
+            for index in np.ndindex(self.values.shape):
+                fh.write("".join(f"{p[i]:.17g}," for p, i in zip(points, index))
+                         + f"{self.values[index]:.17g}\n")
 
     def to_pgm(self, path) -> None:
         """16-bit P2 preview; rows run top-to-bottom by decreasing second axis."""
@@ -169,7 +163,7 @@ class GapGrid:
                 fh.write(" ".join(str(pix[i, j]) for i in range(nx)) + "\n")
 
     def to_json(self, path) -> None:
-        doc = {
+        write_json({
             "kind": self.kind,
             "axes": [list(a) for a in self.spec.axes],
             "axis_names": list(self.axis_names),
@@ -180,10 +174,7 @@ class GapGrid:
             "values": [[None if not np.isfinite(x) else x for x in row]
                        for row in np.atleast_2d(self.values)],
             "skipped_mask": np.atleast_2d(self.skipped_mask).astype(int).tolist(),
-        }
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        }, path)
 
 
 @dataclass
@@ -239,12 +230,8 @@ def sweep_grid(t: ObservableTuple, spec: GridSpec, kind: str,
     are skipped (mask set, value left NaN) and can never belong to the
     epsilon-set.
     """
-    if kind not in GAP_KINDS:
-        raise ParameterOutOfRange(f"kind must be one of {GAP_KINDS}")
     d = t.d_total
     swept = spec.swept_indices(d)
-    if kind == "clifford" and rep is None:
-        rep = build_clifford(d)
     shape = spec.shape
     if len(shape) > 2:
         raise ParameterOutOfRange("sweeps support 1D and 2D grids")

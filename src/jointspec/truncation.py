@@ -12,7 +12,6 @@ a two-sided certificate for the full-system value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +21,7 @@ import scipy.sparse as sp
 from .composites import ObservableTuple, quadratic_gap, shifted_observables
 from .errors import (CTooLarge, DimensionMismatch, EmptyBall,
                      ParameterOutOfRange, ZNotInvertible)
+from .models import write_json
 from .operators import (HermitianOperator, _is_sparse, operator_norm,
                         solves_densely)
 
@@ -40,22 +40,30 @@ Z_MIN = 1e-12
 
 @dataclass
 class TruncationCertificate:
-    """Two-sided bound tying a modified/truncated gap to the full-system gap.
-
-    ``valid`` requires C < 1; for C >= 1 the upper bound is vacuous (inf) but
-    the lower bound mu_ref * (1 - C)^(1/2) is reported as 0.
+    """Two-sided bound tying a modified/truncated gap to the full-system gap:
+    ``lower`` = (1 - C)^(1/2) mu_full <= mu_truncated <= (1 + C)^(1/2) mu_full
+    = ``upper``.  The upper bound holds for every C; the lower one is
+    reported as 0 for C >= 1, and the two are 0 and inf without mu_full.
     """
 
     rho: Optional[float]
     C: float
     mu_truncated: float
-    lower: float
-    upper: float
     mu_full: Optional[float] = None
 
     @property
     def valid(self) -> bool:
         return self.C < 1.0
+
+    @property
+    def lower(self) -> float:
+        return float(np.sqrt(max(0.0, 1.0 - self.C)) * (self.mu_full or 0.0))
+
+    @property
+    def upper(self) -> float:
+        if self.mu_full is None:
+            return np.inf
+        return float(np.sqrt(1.0 + self.C) * self.mu_full)
 
     def full_gap_interval(self) -> tuple:
         """Certified interval for the untruncated gap, from the truncated value:
@@ -66,13 +74,12 @@ class TruncationCertificate:
 
     def to_json(self, path) -> None:
         lo, hi = self.full_gap_interval()
-        doc = {"rho": self.rho, "C": self.C, "valid": self.valid,
-               "mu_truncated": self.mu_truncated, "mu_full": self.mu_full,
-               "lower": self.lower, "upper": self.upper,
-               "full_gap_interval": [lo, None if np.isinf(hi) else hi]}
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        write_json({"rho": self.rho, "C": self.C, "valid": self.valid,
+                    "mu_truncated": self.mu_truncated, "mu_full": self.mu_full,
+                    "lower": self.lower,
+                    "upper": None if np.isinf(self.upper) else self.upper,
+                    "full_gap_interval": [lo, None if np.isinf(hi) else hi]},
+                   path)
 
 
 def shift_to_origin(t: ObservableTuple, lam) -> ObservableTuple:
@@ -154,26 +161,24 @@ def modified_gap_bounds(t: ObservableTuple, h0: HermitianOperator,
     """Sandwich for the gap after adding H0 to the trailing Hamiltonian.
 
     With mu the unmodified quadratic gap at zero and C the perturbation
-    constant: (1-C)^(1/2) mu <= mu_modified <= (1+C)^(1/2) mu.
+    constant: (1-C)^(1/2) mu <= mu_modified <= (1+C)^(1/2) mu.  C >= 1
+    raises CTooLarge before either gap is solved.
     """
     if t.commuting_prefix != t.d_total - 1:
         raise ParameterOutOfRange(
             "expected a position block followed by one Hamiltonian")
     h = t.ops[-1]
     c = perturbation_constant(t, h, h0)
+    if c >= 1.0:
+        raise CTooLarge(
+            f"perturbation constant C={c:.3g} >= 1: the sandwich is vacuous")
     mu = quadratic_gap(t, np.zeros(t.d_total), accuracy=accuracy)
     modified = ObservableTuple(
         list(t.ops[:-1]) + [HermitianOperator(h.mat + h0.mat)],
         commuting_prefix=t.commuting_prefix, meta=t.meta)
     mu_mod = quadratic_gap(modified, np.zeros(t.d_total), accuracy=accuracy)
-    lower = float(np.sqrt(max(0.0, 1.0 - c)) * mu)
-    upper = float(np.sqrt(1.0 + c) * mu) if c < 1.0 else np.inf
-    cert = TruncationCertificate(rho=None, C=c, mu_truncated=mu_mod,
-                                 lower=lower, upper=upper, mu_full=mu)
-    if c >= 1.0:
-        raise CTooLarge(
-            f"perturbation constant C={c:.3g} >= 1: the sandwich is vacuous")
-    return cert
+    return TruncationCertificate(rho=None, C=c, mu_truncated=mu_mod,
+                                 mu_full=mu)
 
 
 def compress_to_ball(t: ObservableTuple, rho: float):
@@ -233,8 +238,5 @@ def truncated_gap(t: ObservableTuple, rho: float, accuracy: float = 1e-9,
     c = perturbation_constant(t, h, _far_field_zeroing(h, keep, t.dim))
     mu_comp = quadratic_gap(compressed, np.zeros(t.d_total), accuracy=accuracy)
     value = float(min(rho, mu_comp))
-    lower = float(np.sqrt(max(0.0, 1.0 - c)) * (mu_full or 0.0))
-    upper = float(np.sqrt(1.0 + c) * mu_full) if mu_full is not None else np.inf
-    cert = TruncationCertificate(rho=float(rho), C=c, mu_truncated=value,
-                                 lower=lower, upper=upper, mu_full=mu_full)
-    return value, cert
+    return value, TruncationCertificate(rho=float(rho), C=c,
+                                        mu_truncated=value, mu_full=mu_full)

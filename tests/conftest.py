@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from jointspec.errors import DegenerateScalars
 from jointspec.operators import eigen_error
 
 
@@ -12,7 +11,7 @@ def _overlap_bound_check(a, v, w, lam, mu):
     bug somewhere, never physics.
     """
     if lam == mu:
-        raise DegenerateScalars("lambda and mu must differ")
+        raise ValueError("lambda and mu must differ")
     lhs = abs(np.vdot(v.vec, w.vec))
     rhs = (eigen_error(a, v, lam) + eigen_error(a, w, mu)) / abs(lam - mu)
     return bool(lhs <= rhs + 1e-12)

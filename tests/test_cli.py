@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from jointspec.cli import main
-from jointspec.models import write_matrix_file
+from jointspec.clifford import build_clifford
+from jointspec.composites import clifford_gap, quadratic_gap
+from jointspec.models import build_chern2d, build_ssh, write_matrix_file
+from jointspec.sweep import GridSpec, sweep_grid
 
 
 def run(capsys, *argv):
@@ -244,3 +247,61 @@ def test_states_ladder_overrides_kappa(capsys):
     assert code == 0 and "kappa=1 " in plain
     code, with_kappa, _ = run(capsys, *args, "--kappa", "2")
     assert code == 0 and with_kappa == plain
+
+
+def test_gap_clifford_kind_json(capsys, tmp_path):
+    out_path = tmp_path / "gap.json"
+    code, out, _ = run(capsys, "gap", "--model", "ssh", "--lambda", "3,0.2",
+                       "--kind", "clifford", "--json-out", str(out_path))
+    assert code == 0 and "mu_c=" in out and "mu_q=" not in out
+    doc = json.loads(out_path.read_text())
+    assert "mu_q" not in doc
+    assert doc["mu_c"] == clifford_gap(build_ssh(), [3.0, 0.2],
+                                       build_clifford(2))
+
+
+def test_sweep_fixed_coordinates(capsys, tmp_path):
+    csv = tmp_path / "slice.csv"
+    code, _, _ = run(capsys, "sweep", "--model", "chern2d", "--param", "nx=4",
+                     "--param", "ny=4", "--grid", "x=-1:1:3,y=-1:1:3",
+                     "--fixed", "2=0.3", "--kind", "quadratic",
+                     "--csv-out", str(csv))
+    assert code == 0
+    spec = GridSpec(axes=((-1.0, 1.0, 3), (-1.0, 1.0, 3)),
+                    fixed_coords={2: 0.3})
+    ref = sweep_grid(build_chern2d(4, 4), spec, "quadratic")
+    rows = csv.read_text().splitlines()[1:]
+    assert [float(r.rsplit(",", 1)[1]) for r in rows] == ref.values.ravel().tolist()
+
+
+def test_states_ladder_json_per_kappa_and_sites_csv(capsys, tmp_path):
+    out_json, sites = tmp_path / "state.json", tmp_path / "sites.csv"
+    code, _, _ = run(capsys, "states", "--model", "chern2d", "--param", "nx=6",
+                     "--param", "ny=5", "--lambda", "2.5,0,0",
+                     "--kappas", "0.5,0.25", "--json-out", str(out_json),
+                     "--sites-csv-out", str(sites))
+    assert code == 0 and not out_json.exists()
+    docs = [json.loads((tmp_path / f"state_kappa{k}.json").read_text())
+            for k in ("0.5", "0.25")]
+    assert [doc["kappa"] for doc in docs] == [0.5, 0.25]
+    lines = sites.read_text().splitlines()
+    assert lines[0] == "# site_probability,kappa=0.25"
+    probs = np.array(docs[1]["site_probabilities"]).reshape(5, 6)
+    assert lines[1:] == [f"{ix},{iy},{probs[iy, ix]:.17g}"
+                         for iy in range(5) for ix in range(6)]
+
+
+@pytest.mark.parametrize("full", [True, False])
+def test_run_recipe_list_and_bool_arguments(capsys, tmp_path, full):
+    out_json, recipe = tmp_path / "ladder.json", tmp_path / "recipe.json"
+    recipe.write_text(json.dumps({
+        "command": "truncate",
+        "arguments": {"model": "ssh", "param": ["n_cells=30", "w=1.4"],
+                      "lambda": "30.3,0", "rho": "3,6", "full": full,
+                      "json_out": str(out_json)}}))
+    code, out, _ = run(capsys, "run", str(recipe))
+    assert code == 0 and ("full mu_q=" in out) == full
+    doc = json.loads(out_json.read_text())
+    mu_full = quadratic_gap(build_ssh(30), [30.3, 0.0]) if full else None
+    assert doc["mu_full"] == mu_full
+    assert [rung["rho"] for rung in doc["ladder"]] == [3.0, 6.0]

@@ -7,7 +7,8 @@ from jointspec.errors import ModelConfigError, ParameterOutOfRange
 from jointspec.models import (EXAMPLE_NAMES, LatticeModelSpec, ScaledTuple,
                               build_chern2d, build_example, build_ssh,
                               build_ssh_path, read_matrix_file,
-                              scale_positions, ssh_grading, write_matrix_file)
+                              scale_positions, ssh_grading, write_json,
+                              write_matrix_file)
 
 
 def test_ssh_matches_displayed_matrices():
@@ -191,6 +192,28 @@ def test_model_spec_converts_raw_values():
     spec = LatticeModelSpec(kind="chern2d", parameters={"nx": "6", "A": "0.5"})
     assert spec.parameters == {"nx": 6, "A": 0.5}
     assert type(spec.parameters["nx"]) is int
+
+
+@pytest.mark.parametrize("kind,builder", [
+    ("ssh", build_ssh),
+    ("ssh_path", build_ssh_path),
+    ("chern2d", build_chern2d),
+    ("example:pair_4x4", lambda: build_example("pair_4x4")),
+])
+def test_model_spec_defaults_are_the_builders(kind, builder):
+    t, ref = LatticeModelSpec(kind=kind).build(), builder()
+    assert t.meta == ref.meta
+    for a, b in zip(t.ops, ref.ops):
+        assert np.array_equal(a.dense(), b.dense())
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json({"a": [1.5, None]}, path)
+    assert path.read_text() == '{\n "a": [\n  1.5,\n  null\n ]\n}\n'
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            write_json({"a": bad}, path)
 
 
 def test_matrix_file_roundtrip(tmp_path):

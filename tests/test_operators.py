@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from jointspec import operators
-from jointspec.errors import (DegenerateScalars, DimensionMismatch,
-                              InvalidOperator, NumericalFailure)
+from jointspec.errors import (DimensionMismatch, InvalidOperator,
+                              NumericalFailure)
 from jointspec.operators import (HermitianOperator, StateVector, eigen_error,
                                  eigenpair_nearest_zero, expectation,
                                  operator_norm, smallest_singular_value,
@@ -148,7 +148,7 @@ def test_overlap_bound(overlap_bound_check):
     v = StateVector(vecs[:, 0])
     w = StateVector(vecs[:, 1])
     assert overlap_bound_check(a, v, w, float(vals[0]), float(vals[1]))
-    with pytest.raises(DegenerateScalars):
+    with pytest.raises(ValueError):
         overlap_bound_check(a, v, w, 1.0, 1.0)
 
 

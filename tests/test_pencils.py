@@ -216,7 +216,8 @@ def test_sparse_sweep_repeats_bitwise():
 
 def test_low_confidence_mu_q_on_tall_sparse_composite(caplog):
     # d*n = 4200 > 4096 with a true gap of 0.01: the squared eigenvalue 1e-4
-    # lies below sqrt(eps) * ||Q||_F, so the unsquared eigen-error is used
+    # lies below sqrt(eps) * sum_j (||X_j|| + |lam_j|)^2, so the unsquared
+    # eigen-error is used
     n = 2100
     xs = np.linspace(-1000.0, 1000.0, n)
     hs = np.cos(np.arange(n))
@@ -227,6 +228,22 @@ def test_low_confidence_mu_q_on_tall_sparse_composite(caplog):
         mu = quadratic_gap(t, lam)
     assert abs(mu - 0.01) <= 1e-10
     assert any("low-confidence" in r.getMessage() for r in caplog.records)
+
+
+def test_q_clamp_scale_does_not_grow_with_the_lattice(monkeypatch):
+    # Chern-20 (Q dim 800, sparse) at probe 0 with a planted eigenvalue
+    # -1e-7: ||Q||_F = 2444 would pass it through the PSD clamp and report
+    # the planted vector's eigen-error; the size-free scale
+    # sum_j (||X_j|| + |lam_j|)^2 = 244.5 puts the clamp at -2.4e-8
+    t = build_chern2d(20, 20)
+    lam = [0.0, 0.0, 0.0]
+    assert quadratic_pencil(t, lam).fmt == "csc"
+    v = np.zeros((t.dim, 1), dtype=complex)
+    v[0] = 1.0
+    monkeypatch.setattr(composites, "eigenpair_nearest_zero",
+                        lambda m, accuracy, k=1: (np.array([-1e-7]), v))
+    with pytest.raises(NumericalFailure, match="below the PSD clamp"):
+        quadratic_gap(t, lam)
 
 
 def singular_diagonal():
@@ -289,6 +306,7 @@ def test_singular_above_dense_cutoff_reads_zero(singular_twice, monkeypatch,
         t = chern_half(12)  # L dim 576
         rep = build_clifford(3)
         assert clifford_gap(t, [0.3, -0.2, 0.0], rep) == 0.0
+        assert quadratic_gap(sparse_pair(600, seed=3), [0.2, 0.1]) == 0.0
         with pytest.raises(NumericalFailure):
             composites.minimizing_state(sparse_pair(600, seed=3), [0.2, 0.1])
     assert v is None and np.all(w == 0.0)

@@ -176,3 +176,20 @@ def test_failures_sorted_by_index(monkeypatch):
     assert len(indices) == grid.values.size
     assert indices == sorted(indices)
     assert np.isnan(grid.values).all()
+
+
+def test_pruned_1d_sweep_and_csv(tmp_path):
+    # a 1D grid takes _serpentine's 1D branch and to_csv's `x,value` rows
+    spec = GridSpec(axes=((0.0, 9.0, 37),), fixed_coords={1: 0.0})
+    full = sweep_grid(SSH, spec, "clifford")
+    pruned = sweep_grid(SSH, spec, "clifford", pruning=0.2)
+    assert pruned.skipped_mask.any()
+    evaluated = ~pruned.skipped_mask
+    assert np.array_equal(full.values[evaluated], pruned.values[evaluated])
+    assert np.array_equal(epsilon_mask(full, 0.2), epsilon_mask(pruned, 0.2))
+    path = tmp_path / "line.csv"
+    full.to_csv(path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"# clifford,x=0:9:37,{full.model_fingerprint}"
+    assert lines[1:] == [f"{x:.17g},{v:.17g}"
+                         for x, v in zip(spec.points(0), full.values)]

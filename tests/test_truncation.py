@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,10 @@ from jointspec.errors import (CTooLarge, EmptyBall, ParameterOutOfRange,
                               ZNotInvertible)
 from jointspec.models import build_chern2d, build_ssh
 from jointspec.operators import HermitianOperator, operator_norm
-from jointspec.truncation import (_far_field_zeroing, compress_to_ball,
-                                  distance_operator, modified_gap_bounds,
-                                  perturbation_constant, shift_to_origin,
-                                  truncated_gap)
+from jointspec.truncation import (TruncationCertificate, _far_field_zeroing,
+                                  compress_to_ball, distance_operator,
+                                  modified_gap_bounds, perturbation_constant,
+                                  shift_to_origin, truncated_gap)
 
 rng = np.random.default_rng(23)
 
@@ -75,7 +77,13 @@ def test_modified_gap_identity_for_zero_h0():
     assert np.isclose(cert.mu_truncated, cert.mu_full)
 
 
-def test_c_too_large_raises():
+def test_c_too_large_raises(monkeypatch):
+    import jointspec.truncation as truncation
+
+    def no_gap(*args, **kwargs):
+        raise AssertionError("a gap was solved before C was checked")
+
+    monkeypatch.setattr(truncation, "quadratic_gap", no_gap)
     t = diag_tuple_with_h(h=random_hermitian(4))
     h0 = HermitianOperator(random_hermitian(4, scale=50.0))
     with pytest.raises(CTooLarge):
@@ -194,3 +202,53 @@ def test_rung_constant_matches_dense_norm():
     c = perturbation_constant(shifted, h, h0)
     assert abs(c - ref) <= 1e-12 * ref
     assert c == perturbation_constant(shifted, h, h0)
+
+
+def test_rotated_position_block_matches_diagonal():
+    # a unitary rotation makes the position block non-diagonal: Z comes from
+    # eigh and C from the dense inverse, and neither may move
+    r = np.random.default_rng(41)
+    herm = lambda a: (a + a.conj().T) / 2  # noqa: E731
+    t = diag_tuple_with_h(h=herm(r.standard_normal((4, 4))))
+    h0 = HermitianOperator(herm(0.05 * r.standard_normal((4, 4))))
+    u = np.linalg.qr(r.standard_normal((4, 4))
+                     + 1j * r.standard_normal((4, 4)))[0]
+    rot = lambda m: u @ m @ u.conj().T  # noqa: E731
+    rotated = ObservableTuple([rot(o.dense()) for o in t.ops],
+                              commuting_prefix=2)
+    h0_rot = HermitianOperator(rot(h0.dense()))
+    assert not rotated.ops[0].is_diagonal
+    c = perturbation_constant(t, t.ops[-1], h0)
+    c_rot = perturbation_constant(rotated, rotated.ops[-1], h0_rot)
+    assert abs(c - c_rot) <= 1e-10
+    cert, cert_rot = modified_gap_bounds(t, h0), modified_gap_bounds(rotated, h0_rot)
+    for name in ("C", "mu_truncated", "mu_full", "lower", "upper"):
+        assert abs(getattr(cert, name) - getattr(cert_rot, name)) <= 1e-10
+
+
+def test_certificate_bounds_follow_c_and_mu_full():
+    cert = TruncationCertificate(rho=3.0, C=0.44, mu_truncated=1.0,
+                                 mu_full=2.0)
+    assert cert.lower == float(np.sqrt(0.56) * 2.0)
+    assert cert.upper == float(np.sqrt(1.44) * 2.0)
+    vacuous = TruncationCertificate(rho=3.0, C=1.5, mu_truncated=1.0,
+                                    mu_full=2.0)
+    assert vacuous.lower == 0.0 and vacuous.upper == float(np.sqrt(2.5) * 2.0)
+    bare = TruncationCertificate(rho=3.0, C=0.44, mu_truncated=1.0)
+    assert bare.lower == 0.0 and bare.upper == np.inf
+
+
+def test_certificate_without_full_gap_is_valid_json(tmp_path):
+    # no mu_full: the upper bound is infinite and must be written as null
+    t = shift_to_origin(build_ssh(30, 0.7, 1.4), [15.3, 0.0])
+    _, cert = truncated_gap(t, 4.0)
+    assert cert.upper == np.inf
+    path = tmp_path / "cert.json"
+    cert.to_json(path)
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(path.read_text(), parse_constant=refuse)
+    assert doc["upper"] is None and doc["mu_full"] is None
+    assert doc["lower"] == 0.0 and doc["C"] == cert.C
