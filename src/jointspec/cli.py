@@ -227,11 +227,9 @@ def _cmd_gap(args) -> int:
 def _cmd_sweep(args) -> int:
     t = _built_tuple(args)
     axes, swept = _parse_grid(args.grid, t.d_total)
-    fixed = {}
     if args.fixed:
-        for part in args.fixed.split(","):
-            idx, val = part.split("=")
-            fixed[int(idx)] = float(val)
+        fixed = {int(idx): float(val) for idx, val in
+                 (part.split("=") for part in args.fixed.split(","))}
     else:
         fixed = {j: 0.0 for j in range(t.d_total) if j not in swept}
     spec = GridSpec(axes=tuple(axes), fixed_coords=fixed)
@@ -310,9 +308,8 @@ def _cmd_states(args) -> int:
         def write_csv(path):
             with open(path, "w", encoding="ascii", newline="\n") as fh:
                 fh.write(f"# site_probability,kappa={rep.kappa:g}\n")
-                for iy in range(ny):
-                    for ix in range(nx):
-                        fh.write(f"{ix},{iy},{probs[iy, ix]:.17g}\n")
+                for iy, ix in np.ndindex(ny, nx):
+                    fh.write(f"{ix},{iy},{probs[iy, ix]:.17g}\n")
 
         _atomic_write(args.sites_csv_out, write_csv)
     return 0

@@ -8,6 +8,8 @@ The generator ordering is fixed so serialized results are reproducible.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,17 +68,11 @@ def verify_clifford(rep: CliffordRep) -> bool:
     n = gs[0].shape[0]
     eye = np.eye(n)
     for g in gs:
-        if g.shape != (n, n):
+        if (g.shape != (n, n) or np.abs(g - g.conj().T).max() > VERIFY_TOL
+                or np.abs(g @ g - eye).max() > VERIFY_TOL):
             return False
-        if np.abs(g - g.conj().T).max() > VERIFY_TOL:
-            return False
-        if np.abs(g @ g - eye).max() > VERIFY_TOL:
-            return False
-    for j in range(len(gs)):
-        for k in range(j + 1, len(gs)):
-            if np.abs(gs[j] @ gs[k] + gs[k] @ gs[j]).max() > VERIFY_TOL:
-                return False
-    return True
+    return not any(np.abs(a @ b + b @ a).max() > VERIFY_TOL
+                   for a, b in itertools.combinations(gs, 2))
 
 
 def flip_last_unitary(rep: CliffordRep) -> np.ndarray:
@@ -91,11 +87,6 @@ def flip_last_unitary(rep: CliffordRep) -> np.ndarray:
     if rep.d % 2 != 0:
         raise UnsupportedDimension(
             "flip-last unitary exists only for even d in the irreducible rep")
-    r = rep.gammas[0].copy()
-    for g in rep.gammas[1:-1]:
-        r = r @ g
+    r = functools.reduce(np.matmul, rep.gammas[:-1])
     # (G1...G_{d-1})^2 = +-I; rotate the phase so R^2 = I exactly
-    sq = r @ r
-    phase = sq[0, 0]
-    r = r / np.sqrt(phase)
-    return r
+    return r / np.sqrt((r @ r)[0, 0])

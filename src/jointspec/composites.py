@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import Optional
@@ -36,7 +37,6 @@ from .errors import (
 from .operators import (
     HermitianOperator,
     StateVector,
-    _is_sparse,
     _max_abs,
     eigenpair_nearest_zero,
     operator_norm,
@@ -91,12 +91,6 @@ class ProbePoint:
         return self.coords.size
 
 
-def _fro_norm(m) -> float:
-    if _is_sparse(m):
-        return float(np.sqrt((abs(m.data) ** 2).sum())) if m.nnz else 0.0
-    return float(np.linalg.norm(m))
-
-
 class ObservableTuple:
     """An ordered tuple (X_1, ..., X_d) of equal-size Hermitian observables.
 
@@ -112,20 +106,17 @@ class ObservableTuple:
                     for o in ops)
         if not ops:
             raise InvalidOperator("need at least one observable")
-        dim = ops[0].dim
-        for o in ops:
-            if o.dim != dim:
-                raise DimensionMismatch("all observables must share one dimension")
+        if any(o.dim != ops[0].dim for o in ops):
+            raise DimensionMismatch("all observables must share one dimension")
         if not 0 <= commuting_prefix <= len(ops):
             raise InvalidOperator("commuting_prefix out of range")
-        for j in range(commuting_prefix):
-            for k in range(j + 1, commuting_prefix):
-                a, b = ops[j].mat, ops[k].mat
-                comm = a @ b - b @ a
-                tol = COMMUTE_RTOL * max(1.0, _fro_norm(a) * _fro_norm(b))
-                if _max_abs(comm) > tol:
-                    raise InvalidOperator(
-                        f"operators {j} and {k} in the commuting prefix do not commute")
+        for j, k in itertools.combinations(range(commuting_prefix), 2):
+            a, b = ops[j].mat, ops[k].mat
+            comm = a @ b - b @ a
+            tol = COMMUTE_RTOL * max(1.0, ops[j].norm_bound * ops[k].norm_bound)
+            if _max_abs(comm) > tol:
+                raise InvalidOperator(
+                    f"operators {j} and {k} in the commuting prefix do not commute")
         self.ops = ops
         self.commuting_prefix = commuting_prefix
         self.meta = dict(meta or {})
@@ -183,8 +174,7 @@ class Pencil:
             if base is not None:
                 rows, cols, vals = _coo(base.mat)
                 keys.append(self._keys(rows, cols))
-            pattern = np.sort(np.concatenate(keys))
-            pattern = pattern[np.append(True, pattern[1:] != pattern[:-1])]
+            pattern = np.unique(np.concatenate(keys))
             idx = np.int32 if pattern.size < 2 ** 31 else np.int64
             self._indices = (pattern % dim).astype(idx)
             self._indptr = np.searchsorted(pattern // dim,
@@ -227,7 +217,7 @@ class Pencil:
 
 def _coo(m):
     """(rows, cols, values) of the nonzero entries of a dense or sparse matrix."""
-    if _is_sparse(m):
+    if sp.issparse(m):
         c = m.tocoo()
         return c.row, c.col, c.data
     rows, cols = np.nonzero(m)
@@ -255,7 +245,7 @@ def _affine_pencil(ops, gammas, fmt, skip=()) -> Pencil:
             shift.append((j, rows, cols, x, gv))
             continue
         m = o.mat if fmt == "dense" else sp.csr_matrix(o.mat)
-        term = sp.kron(m, g, format="csr") if _is_sparse(m) else np.kron(m, g)
+        term = sp.kron(m, g, format="csr") if sp.issparse(m) else np.kron(m, g)
         base = term if base is None else base + term
         if j not in skip:
             lin.append((j, rows, cols, 0.0, gv))
@@ -288,10 +278,9 @@ def _cached(t: ObservableTuple, key, variant, build):
     """The pencil cached on t under key, rebuilt when its variant changes
     (one variant is kept, so a model never holds two of one composite)."""
     cache = t._pencils
-    if key in cache and cache[key][0] == variant:
-        return cache[key][1]
-    cache.pop(key, None)
-    cache[key] = (variant, build())
+    if key not in cache or cache[key][0] != variant:
+        cache.pop(key, None)  # the old pencil goes before the new one is built
+        cache[key] = (variant, build())
     return cache[key][1]
 
 
@@ -332,8 +321,7 @@ def localizer_pencil(t: ObservableTuple, rep: CliffordRep, lam=None) -> Pencil:
 def shifted_observables(t: ObservableTuple, lam) -> list:
     """The observables X_j - lam_j I, each in its observable's format; an
     observable with lam_j = 0 is returned as it is."""
-    lam = _as_probe(lam)
-    _check_probe(t, lam)
+    lam = _checked_probe(t, lam)
     out = []
     for o, s in zip(t.ops, lam.coords):
         if s == 0.0:
@@ -359,10 +347,12 @@ def _as_probe(lam) -> ProbePoint:
     return lam if isinstance(lam, ProbePoint) else ProbePoint(np.asarray(lam, float))
 
 
-def _check_probe(t: ObservableTuple, lam: ProbePoint):
+def _checked_probe(t: ObservableTuple, lam) -> ProbePoint:
+    lam = _as_probe(lam)
     if lam.d != t.d_total:
         raise DimensionMismatch(
             f"probe has {lam.d} coordinates for a {t.d_total}-tuple")
+    return lam
 
 
 def tall_composite(t: ObservableTuple, lam) -> np.ndarray:
@@ -375,16 +365,14 @@ def tall_composite(t: ObservableTuple, lam) -> np.ndarray:
 
 def quadratic_operator(t: ObservableTuple, lam) -> HermitianOperator:
     """Q_lam = sum (X_j - lam_j)^2, positive-semidefinite, size n x n."""
-    lam = _as_probe(lam)
-    _check_probe(t, lam)
+    lam = _checked_probe(t, lam)
     return HermitianOperator.trusted(
         quadratic_pencil(t, lam.coords).at(lam.coords))
 
 
 def localizer(t: ObservableTuple, lam, rep: CliffordRep) -> HermitianOperator:
     """L_lam = sum (X_j - lam_j) (x) Gamma_j of dimension n * rep_dim."""
-    lam = _as_probe(lam)
-    _check_probe(t, lam)
+    lam = _checked_probe(t, lam)
     return HermitianOperator.trusted(
         localizer_pencil(t, rep, lam.coords).at(lam.coords))
 
@@ -410,14 +398,19 @@ def _spectra(stack: np.ndarray) -> np.ndarray:
         return w
 
 
+def _q_scale(t, lam) -> float:
+    """sum_j (||X_j|| + |lam_j|)^2 >= ||Q_lam|| from the norm bounds, at
+    least 1: the scale of Q's tolerances, which unlike ||Q||_F is size-free."""
+    return max(1.0, sum((o.norm_bound + abs(s)) ** 2
+                        for o, s in zip(t.ops, lam)))
+
+
 def _quadratic_value(t, pencil, lam, w, vals, v) -> float:
     """mu^Q from Q's smallest eigenvalue w (nearest 0, for a sparse Q), with
     the PSD clamp check and the unsquared re-evaluation of values too small
-    to trust.  ``v`` is w's eigenvector if the solve gave one; a sparse Q
-    without one was singular.  Both decisions scale with sum_j (||X_j|| +
-    |lam_j|)^2 >= ||Q|| (norm bounds), which unlike ||Q||_F is size-free."""
-    scale = max(1.0, sum((o.norm_bound + abs(s)) ** 2
-                         for o, s in zip(t.ops, lam)))
+    to trust, both on the scale ``_q_scale``.  ``v`` is w's eigenvector if
+    the solve gave one; a sparse Q without one was singular."""
+    scale = _q_scale(t, lam)
     if w < -NEGATIVE_EIG_TOL * scale:
         raise NumericalFailure(f"Q eigenvalue {w:.3e} below the PSD clamp")
     w = max(w, 0.0)
@@ -526,10 +519,8 @@ def clifford_gap(t: ObservableTuple, lam, rep: CliffordRep,
 def commutator_bound(t: ObservableTuple) -> float:
     """sum_{j<k} ||[X_j, X_k]||, the gap-difference bound."""
     total = 0.0
-    for j in range(t.d_total):
-        for k in range(j + 1, t.d_total):
-            if j < t.commuting_prefix and k < t.commuting_prefix:
-                continue  # exactly zero by construction
+    for j, k in itertools.combinations(range(t.d_total), 2):
+        if k >= t.commuting_prefix:  # the commuting block's pairs give 0
             a, b = t.ops[j].mat, t.ops[k].mat
             total += operator_norm(a @ b - b @ a)
     return total
@@ -568,16 +559,16 @@ DEGENERACY_TOL = 1e-8
 def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
     """Unit eigenvector of Q_lam for its smallest eigenvalue, with mu^Q.
 
-    Returns ``(state, degenerate, mu_q)`` from one residual-checked solve of
-    Q_lam for its two lowest eigenpairs; ``degenerate`` is set when the
-    second eigenvalue lies within 1e-8 of the smallest.  The solver's eigenvector is returned as-is (no canonical
-    phase), since a degenerate minimum has no preferred basis.  mu^Q follows
-    ``quadratic_gap``'s rules (PSD clamp check, eigen-error for values too
-    small to trust); it can differ from that function's value in
+    Returns ``(state, degenerate, mu_q)`` from one solve of Q_lam for its
+    two lowest eigenpairs, whose first residual must be at most 1e-8 times
+    ``_q_scale``; ``degenerate`` is set when the second eigenvalue lies
+    within 1e-8 of the smallest.  The solver's eigenvector is returned as-is
+    (no canonical phase), since a degenerate minimum has no preferred basis.
+    mu^Q follows ``quadratic_gap``'s rules (PSD clamp check, eigen-error for
+    values too small to trust); it can differ from that function's value in
     the last bits, which solves Q separately.
     """
-    lam = _as_probe(lam)
-    _check_probe(t, lam)
+    lam = _checked_probe(t, lam)
     pencil = quadratic_pencil(t, lam.coords)
     vals = pencil.values(lam.coords[None])[0]
     m = pencil.matrix(vals)
@@ -586,9 +577,8 @@ def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
         raise NumericalFailure("Q is singular: minimizing state not "
                                "recovered", details={"dim": pencil.dim})
     vec = v[:, 0]
-    scale = max(1.0, _fro_norm(m))
     resid = np.linalg.norm(m @ vec - w[0] * vec)
-    if resid > 1e-8 * scale:
+    if resid > 1e-8 * _q_scale(t, lam.coords):
         raise NumericalFailure(f"minimizing state residual {resid:.3e} too large")
     degenerate = len(w) > 1 and abs(w[1] - w[0]) <= DEGENERACY_TOL * max(1.0, abs(w[0]))
     mu = _quadratic_value(t, pencil, lam.coords, float(w[0]), vals, vec)
@@ -607,7 +597,7 @@ def reduced_localizer(x: HermitianOperator, h: HermitianOperator,
     this half-size matrix, and its determinant is real.
     """
     g = grading.mat if isinstance(grading, HermitianOperator) else np.asarray(grading)
-    g = g.toarray() if _is_sparse(g) else np.asarray(g, dtype=complex)
+    g = g.toarray() if sp.issparse(g) else np.asarray(g, dtype=complex)
     xm = x.dense() if isinstance(x, HermitianOperator) else np.asarray(x, complex)
     hm = h.dense() if isinstance(h, HermitianOperator) else np.asarray(h, complex)
     if xm.shape != hm.shape or xm.shape != g.shape:
@@ -625,7 +615,7 @@ def reduced_localizer(x: HermitianOperator, h: HermitianOperator,
 
 def determinant_sign_index(a) -> int:
     """Sign of det(A) for a (numerically) real square matrix: -1, 0 or +1."""
-    m = np.asarray(a.toarray() if _is_sparse(a) else a, dtype=complex)
+    m = np.asarray(a.toarray() if sp.issparse(a) else a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch("determinant sign needs a square matrix")
     scale = max(1.0, np.abs(m).max())
@@ -651,9 +641,8 @@ def verify_symmetry(t: ObservableTuple, s, flipped_index: int, lam,
     j except S X_f = -X_f S at the flipped index.  Under them both gaps are
     invariant under negating that probe coordinate.
     """
-    lam = _as_probe(lam)
-    _check_probe(t, lam)
-    sm = np.asarray(s.toarray() if _is_sparse(s) else s, dtype=complex)
+    lam = _checked_probe(t, lam)
+    sm = np.asarray(s.toarray() if sp.issparse(s) else s, dtype=complex)
     n = t.dim
     if sm.shape != (n, n):
         raise DimensionMismatch("S must match the observable dimension")

@@ -195,11 +195,20 @@ class ScaledTuple:
     kappa: float
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ParameterOutOfRange("kappa must be positive")
+        if not (np.isfinite(self.kappa) and self.kappa > 0):
+            raise ParameterOutOfRange(
+                f"kappa must be positive and finite, got {self.kappa!r}")
 
     def build(self) -> ObservableTuple:
-        return scale_positions(self.base, self.kappa)
+        t, kappa = self.base, self.kappa
+        if t.commuting_prefix < 1:
+            raise ParameterOutOfRange("tuple has no commuting position block")
+        ops = [HermitianOperator(kappa * o.mat) if j < t.commuting_prefix
+               else o for j, o in enumerate(t.ops)]
+        meta = dict(t.meta)
+        meta["kappa"] = kappa * meta.get("kappa", 1.0)
+        return ObservableTuple(ops, commuting_prefix=t.commuting_prefix,
+                               meta=meta)
 
     def scale_probe(self, lam) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(lam, dtype=float)).copy()
@@ -209,15 +218,7 @@ class ScaledTuple:
 
 def scale_positions(t: ObservableTuple, kappa: float) -> ObservableTuple:
     """Multiply the commuting position block by kappa; H is untouched."""
-    if kappa <= 0:
-        raise ParameterOutOfRange("kappa must be positive")
-    if t.commuting_prefix < 1:
-        raise ParameterOutOfRange("tuple has no commuting position block")
-    ops = [HermitianOperator(kappa * o.mat) if j < t.commuting_prefix
-           else o for j, o in enumerate(t.ops)]
-    meta = dict(t.meta)
-    meta["kappa"] = kappa * meta.get("kappa", 1.0)
-    return ObservableTuple(ops, commuting_prefix=t.commuting_prefix, meta=meta)
+    return ScaledTuple(t, kappa).build()
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +364,5 @@ def write_matrix_file(path, m) -> None:
     n = m.shape[0]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{n}\n")
-        for r in range(n):
-            for c in range(n):
-                fh.write(f"{r} {c} {m[r, c].real:.17g} {m[r, c].imag:.17g}\n")
+        for r, c in np.ndindex(n, n):
+            fh.write(f"{r} {c} {m[r, c].real:.17g} {m[r, c].imag:.17g}\n")

@@ -13,8 +13,8 @@ import logging
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.linalg.blas import get_blas_funcs
+from scipy.linalg.lapack import dstemr
 
 from .errors import (
     DimensionMismatch,
@@ -28,12 +28,14 @@ HERMITICITY_RTOL = 1e-12
 SPARSE_EIGEN_CUTOFF = 512
 #: largest dimension of a dense matrix that is solved densely
 DENSE_EIGEN_CUTOFF = 4096
-#: seed of the ARPACK start vectors, so repeated solves give identical bytes
+#: seed of the Lanczos start vectors, so repeated solves give identical bytes
 START_VECTOR_SEED = 20220421
 #: relative residual at which `operator_norm` accepts the top Ritz value
 NORM_RTOL = 1e-12
 #: Lanczos steps after which `operator_norm` reports non-convergence
 NORM_MAX_STEPS = 10000
+#: Lanczos steps (solves) after which shift-invert reports non-convergence
+SHIFT_INVERT_MAX_STEPS = 200
 
 _LOG = logging.getLogger("jointspec")
 
@@ -51,27 +53,23 @@ __all__ = [
 ]
 
 
-def _is_sparse(m) -> bool:
-    return sp.issparse(m)
-
-
 def _as_matrix(a):
     """Return the raw matrix behind `a` (HermitianOperator, ndarray or sparse)."""
     if isinstance(a, HermitianOperator):
         return a.mat
-    if _is_sparse(a):
+    if sp.issparse(a):
         return a
     return np.asarray(a)
 
 
 def _check_finite(m):
-    data = m.data if _is_sparse(m) else m
+    data = m.data if sp.issparse(m) else m
     if not np.all(np.isfinite(np.asarray(data).ravel().view(float) if np.iscomplexobj(data) else data)):
         raise InvalidOperator("matrix has non-finite entries")
 
 
 def _max_abs(m) -> float:
-    if _is_sparse(m):
+    if sp.issparse(m):
         return float(abs(m).max()) if m.nnz else 0.0
     return float(np.abs(m).max()) if m.size else 0.0
 
@@ -98,7 +96,7 @@ class HermitianOperator:
 
     def __init__(self, matrix):
         m = matrix.mat if isinstance(matrix, HermitianOperator) else matrix
-        if _is_sparse(m):
+        if sp.issparse(m):
             m = m.tocsr()
         else:
             m = np.asarray(m, dtype=complex)
@@ -115,10 +113,7 @@ class HermitianOperator:
                 f"matrix is not Hermitian: max|A - A^dag| = {asym:.3e} "
                 f"exceeds {HERMITICITY_RTOL:.0e} * {scale:.3e}"
             )
-        m = (m + dag) * 0.5
-        if _is_sparse(m):
-            m = m.tocsr()
-        self._mat = m
+        self._mat = (m + dag) * 0.5
         self._diagonal = self._bound = None
 
     @classmethod
@@ -140,7 +135,7 @@ class HermitianOperator:
 
     @property
     def is_sparse(self) -> bool:
-        return _is_sparse(self._mat)
+        return sp.issparse(self._mat)
 
     def dense(self) -> np.ndarray:
         return self._mat.toarray() if self.is_sparse else self._mat
@@ -213,148 +208,191 @@ def _check_dims(a: HermitianOperator, v: StateVector):
 def solves_densely(dim: int, sparse: bool) -> bool:
     """The one dense/sparse decision: LAPACK for dense matrices up to
     ``DENSE_EIGEN_CUTOFF`` and sparse ones up to ``SPARSE_EIGEN_CUTOFF``,
-    shift-invert ARPACK above."""
+    shift-invert Lanczos above."""
     return dim <= (SPARSE_EIGEN_CUTOFF if sparse else DENSE_EIGEN_CUTOFF)
 
 
-def start_vector(n: int) -> np.ndarray:
-    """Fixed-seed random ARPACK start vector of length n.
+def start_vector(n: int, j: int = 0) -> np.ndarray:
+    """Fixed-seed random Lanczos start vector number j of length n, so
+    repeated solves give identical bytes; a structured one (all ones, say)
+    can be orthogonal to the wanted eigenvector."""
+    return np.random.default_rng((START_VECTOR_SEED, j)).standard_normal(n)
 
-    ARPACK's own start vector comes from a generator that advances with every
-    call, so repeated solves would differ in the last bits.  A structured
-    vector (all ones, say) can be orthogonal to the wanted eigenvector.
+
+def _ritz_test(alpha, beta, b, rtol):
+    """Of the two extreme eigenpairs of the Lanczos tridiagonal (MRRR), the
+    Ritz value of larger magnitude, its eigenvector s, its residual estimate
+    ``b |s_m|`` and whether that is at most ``rtol |theta|`` while the other
+    end is settled: converged, or within its magnitude margin."""
+    d, ends = np.array(alpha), []
+    for i in sorted({1, len(alpha)}):
+        # dstemr works in its off-diagonal array: a new one per call
+        _, w, z, info = dstemr(d, np.array(beta + [0.0]), 2, 0.0, 0.0, i, i)
+        if info:
+            raise NumericalFailure("tridiagonal eigensolver failed",
+                                   details={"steps": len(alpha)})
+        ends.append((float(w[0]), z[:, 0], b * abs(z[-1, 0])))
+    ends.sort(key=lambda end: abs(end[0]))
+    (other, _, r_other), (theta, s, resid) = ends[0], ends[-1]
+    return theta, s, resid, resid <= rtol * abs(theta) and r_other <= max(
+        abs(theta) - abs(other), rtol * abs(other))
+
+
+def _lanczos(apply, n, dtype, rtol, max_steps, vectors=False, locked=()):
+    """The eigenvalue of largest magnitude of Hermitian ``apply`` on the
+    complement of the unit vectors ``locked``, with its unit Ritz vector if
+    asked: ``(theta, vector or None, steps, residual estimate, converged)``.
+
+    Plain Lanczos from start vector ``len(locked)`` (the first run's, less
+    its eigenvector, would hold no other copy of a repeated eigenvalue),
+    without the restarts and reorthogonalization that extreme Ritz values
+    do not need (Paige, Linear Algebra Appl. 34, 1980).  ``_ritz_test`` runs at steps 1 to 8 (before
+    ghost copies form), then every 2 to 10 steps, at the cap and once
+    ``beta_m <= 1e-12 max|alpha_j|`` (invariant Krylov space).  The Ritz
+    vector ``y = V s`` meets the same test at residual ``beta |s_m| / ||y||``
+    (``A V = V T + beta q e_m^T`` holds without orthogonality, and a ghost
+    copy shrinks ``||y||``).
     """
-    return np.random.default_rng(START_VECTOR_SEED).standard_normal(n)
+    axpy, dotc, nrm2, scal = get_blas_funcs(("axpy", "dotc", "nrm2", "scal"),
+                                            dtype=dtype)
 
+    def deflate(x):
+        for y in locked:
+            axpy(y, x, a=-dotc(y, x))
 
-def _gram_top_eigenvalue(m) -> float:
-    """Largest eigenvalue of the smaller Gram matrix of sparse `m` (``m^H m``,
-    or ``m m^H`` when `m` is wide) by plain Lanczos.
-
-    The three-term recurrence starts from the fixed start vector and runs
-    without restarts or reorthogonalization: the extreme Ritz values stay
-    reliable in floating point without it (Paige, Linear Algebra Appl. 34,
-    1980; Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992).
-    Every 10 steps the top Ritz pair ``(theta, s)`` of the tridiagonal T_k is
-    accepted once ``beta_k |s_k| <= NORM_RTOL * theta``.  A ``beta_k`` at or
-    below ``NORM_RTOL`` times the largest diagonal entry of T_k (which is at
-    most theta) meets that test whatever ``s_k`` is: the Krylov space is
-    exhausted, and the recurrence stops before dividing by it.  The shape,
-    step count and residual estimate go to one DEBUG record.
-    """
-    shape = m.shape
-    mh = m.conj().T
-    if m.shape[1] > m.shape[0]:
-        m, mh = mh, m
-    q = start_vector(m.shape[1]).astype(np.result_type(m.dtype, float))
-    q /= np.linalg.norm(q)
-    q_prev = np.zeros_like(q)
-    alpha, beta = [], []
+    q = start_vector(n, len(locked)).astype(dtype)
+    deflate(q)
+    scal(1.0 / nrm2(q), q)
+    basis, alpha, beta = [], [], []
     b = top = 0.0
-    for k in range(1, NORM_MAX_STEPS + 1):
-        w = mh @ (m @ q)
-        a = float(np.vdot(q, w).real)
-        w -= a * q
-        w -= b * q_prev
-        alpha.append(a)
-        top = max(top, a)
-        b = float(np.linalg.norm(w))
-        exhausted = b <= NORM_RTOL * top
-        if exhausted or k % 10 == 0 or k == NORM_MAX_STEPS:
-            theta, s = eigh_tridiagonal(alpha, beta, select="i",
-                                        select_range=(k - 1, k - 1))
-            resid = b * abs(float(s[-1, 0]))
-            if exhausted or resid <= NORM_RTOL * theta[0]:
-                _LOG.debug("operator norm of %dx%d sparse matrix: %d Lanczos "
-                           "steps, residual estimate %.3g", *shape, k, resid)
-                return float(theta[0])
+    for m in range(1, max_steps + 1):
+        if vectors:
+            basis.append(q)
+        w = apply(q)
+        deflate(w)
+        if m > 1:
+            axpy(q_prev, w, a=-b)
+        alpha.append(dotc(q, w).real)
+        axpy(q, w, a=-alpha[-1])
+        top = max(top, abs(alpha[-1]))
+        b = nrm2(w)
+        exhausted = b <= 1e-12 * top
+        if exhausted or m <= 8 or m == max_steps \
+                or m % min(10, max(2, m // 8)) == 0:
+            theta, s, resid, ok = _ritz_test(alpha, beta, b, rtol)
+            if ok or exhausted:
+                break
         beta.append(b)
-        q_prev, q = q, w / b
-    raise NumericalFailure(
-        "Lanczos did not converge for operator norm",
-        details={"shape": shape, "steps": NORM_MAX_STEPS,
-                 "residual": resid, "theta": float(theta[0])})
+        q_prev, q = q, scal(1.0 / b, w)
+    if not vectors:
+        return theta, None, m, resid, ok
+    y = np.zeros(n, dtype)
+    for sj, qj in zip(s, basis):
+        axpy(qj, y, a=sj)
+    size = nrm2(y)
+    return (theta, scal(1.0 / size, y), m, resid / size,
+            ok and resid <= rtol * abs(theta) * size)
 
 
 def operator_norm(a) -> float:
-    """Largest singular value of `a` (HermitianOperator, ndarray or sparse).
-
-    Dense inputs go to LAPACK, sparse ones to plain Lanczos on the Gram
-    matrix.
+    """Largest singular value of `a` (HermitianOperator, ndarray or sparse):
+    LAPACK for dense inputs, ``_lanczos`` on the smaller Gram matrix
+    (``m^H m``, or ``m m^H`` when `m` is wide) at ``NORM_RTOL`` for sparse
+    ones, with one DEBUG record of the shape, steps and residual estimate.
     """
     m = _as_matrix(a)
     _check_finite(m)
     if min(m.shape) == 0:
         return 0.0
-    if _is_sparse(m):
-        return float(np.sqrt(_gram_top_eigenvalue(m)))
+    if sp.issparse(m):
+        shape, mh = m.shape, m.conj().T
+        if m.shape[1] > m.shape[0]:
+            m, mh = mh, m
+        theta, _, steps, resid, ok = _lanczos(
+            lambda x: mh @ (m @ x), m.shape[1],
+            np.result_type(m.dtype, float), NORM_RTOL, NORM_MAX_STEPS)
+        if not ok:
+            raise NumericalFailure("Lanczos did not converge for operator "
+                                   "norm", details={"shape": shape})
+        _LOG.debug("operator norm of %dx%d sparse matrix: %d Lanczos steps, "
+                   "residual estimate %.3g", *shape, steps, resid)
+        return float(np.sqrt(theta))
     if min(m.shape) == 1:
         return float(np.linalg.norm(m))
     return float(np.linalg.norm(m, 2))
 
 
-def _shift_invert(ms, sigma, k, accuracy, v0):
-    """eigsh's k eigenpairs of ``ms`` nearest ``sigma``.
+#: ``splu`` options of the small factor: symmetric ordering, diagonal pivots
+_SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                 "options": {"SymmetricMode": True}}
 
-    ``ms - sigma I`` is factored once with a symmetric ordering and diagonal
-    pivots, which keeps the factor small.  Unpivoted elimination can be
-    inaccurate, so the general partial-pivoting LU inside ``eigsh`` is used
-    instead where the diagonal has a zero (fill explodes there) and where an
-    eigenvalue disagrees with its Rayleigh quotient beyond ``accuracy``.
+
+def _shift_invert(ms, sigma, k, accuracy):
+    """Lanczos's k eigenpairs of ``ms`` nearest ``sigma``: one ``_lanczos``
+    run per pair on the solves of a factor of ``ms - sigma I``, each
+    deflating the pairs before it, so a repeated eigenvalue is found once
+    per copy.  The factor is ``_SYMMETRIC_LU``'s unless the diagonal has a
+    zero (fill explodes there).  Unpivoted elimination can be inaccurate:
+    where the runs do not converge or an eigenvalue misses its Rayleigh
+    quotient by more than ``accuracy``, scipy's partial-pivoting LU is
+    tried under the same test, and NumericalFailure raised if that fails
+    too.  Each factor makes one DEBUG record.
     """
-    n = ms.shape[0]
+    n, dtype = ms.shape[0], np.result_type(ms.dtype, float)
+    shifted = ms - sigma * sp.identity(n, format="csc") if sigma else ms
+    factors = [("partial-pivoting", {})]
     if np.all(ms.diagonal() != sigma):
-        shifted = ms - sigma * sp.identity(n, format="csc") if sigma else ms
-        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-        op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=ms.dtype)
-        w, v = spla.eigsh(ms, k=k, sigma=sigma, which="LM", tol=accuracy,
-                          v0=v0, OPinv=op)
-        rho = np.einsum("ij,ij->j", v.conj(), ms @ v).real
-        err = np.abs(w - rho)
-        if np.all(err <= accuracy * np.maximum(1.0, np.abs(w))):
+        factors.insert(0, ("symmetric", _SYMMETRIC_LU))
+    for path, options in factors:
+        lu, runs = spla.splu(shifted, **options), []
+        while len(runs) < k and (not runs or runs[-1][4]):
+            runs.append(_lanczos(lu.solve, n, dtype, accuracy,
+                                 SHIFT_INVERT_MAX_STEPS, vectors=True,
+                                 locked=[r[1] for r in runs]))
+        theta, vecs, steps, resid, ok = zip(*runs)
+        w, v = sigma + 1.0 / np.array(theta), np.column_stack(vecs)
+        err = np.abs(w - np.einsum("ij,ij->j", v.conj(), ms @ v).real)
+        _LOG.debug("shift-invert of dim %d at shift %.3g (%s factor): k=%d, "
+                   "%s Lanczos steps, residual estimate %.3g%s", n, sigma,
+                   path, k, "+".join(map(str, steps)), max(resid),
+                   "" if ok[-1] else ", unconverged")
+        if ok[-1] and np.all(err <= accuracy * np.maximum(1.0, np.abs(w))):
             return w, v
-        _LOG.info("symmetric factor at shift %.3g (dim %d) inaccurate: "
-                  "|eigenvalue - Rayleigh quotient| = %.3g; partial-pivoting "
-                  "LU used", sigma, n, err.max())
-    return spla.eigsh(ms, k=k, sigma=sigma, which="LM", tol=accuracy, v0=v0)
+        _LOG.info("%s factor at shift %.3g (dim %d) %s: |eigenvalue - "
+                  "Rayleigh quotient| = %.3g", path, sigma, n,
+                  "inaccurate" if ok[-1] else "gave no convergence", err.max())
+    raise NumericalFailure("shift-invert Lanczos did not converge",
+                           details={"dim": n, "sigma": sigma})
 
 
 def _dense_nearest_zero(m, k):
     """LAPACK's k eigenpairs of `m` nearest 0, stably ordered by |w|."""
-    w, v = np.linalg.eigh(m.toarray() if _is_sparse(m) else m)
+    w, v = np.linalg.eigh(m.toarray() if sp.issparse(m) else m)
     order = np.argsort(np.abs(w), kind="stable")[:k]
     return w[order], v[:, order]
 
 
 def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1):
-    """The k eigenpairs of Hermitian `m` nearest 0, sorted by distance from 0.
-
-    ``solves_densely`` picks the solver: LAPACK, or shift-invert ARPACK with
-    a fixed start vector.  A singular factorization means 0 is an eigenvalue:
-    a tiny jittered shift is retried.  If shift-invert gives no eigenpairs
-    (singular at both shifts, or no convergence), a matrix of dimension up to
-    ``DENSE_EIGEN_CUTOFF`` is solved by LAPACK after all, with a warning; a
-    larger one gives ``(zeros, None)`` when singular and raises
-    NumericalFailure when ARPACK did not converge.  Every event is logged.
+    """The k eigenpairs of Hermitian `m` nearest 0, sorted by distance from 0:
+    LAPACK where ``solves_densely`` says so, else ``_shift_invert`` at 0,
+    retried at a tiny jittered shift if the factor is singular.  If that
+    gives no eigenpairs, a matrix of dimension up to ``DENSE_EIGEN_CUTOFF``
+    is solved by LAPACK after all, with a warning; a larger one gives
+    ``(zeros, None)`` when singular at both shifts and raises
+    NumericalFailure when Lanczos did not converge.  Every event is logged.
     """
     n = m.shape[0]
-    if solves_densely(n, _is_sparse(m)):
+    if solves_densely(n, sp.issparse(m)):
         return _dense_nearest_zero(m, k)
-    ms = m if _is_sparse(m) and m.format == "csc" else sp.csc_matrix(m)
-    v0 = start_vector(n)
+    ms = m if sp.issparse(m) and m.format == "csc" else sp.csc_matrix(m)
     reason = "singular at both shifts"
     for attempt in range(2):
         sigma = 1e-10 * max(1.0, _norm_upper_bound(ms)) if attempt else 0.0
         try:
-            w, v = _shift_invert(ms, sigma, k, accuracy, v0)
-        except ArpackNoConvergence as exc:
+            w, v = _shift_invert(ms, sigma, k, accuracy)
+        except NumericalFailure:
             if n > DENSE_EIGEN_CUTOFF:
-                raise NumericalFailure(
-                    "shift-invert eigsh failed to converge",
-                    details={"dim": n, "sigma": sigma, "exc": str(exc)},
-                ) from exc
+                raise
             reason = f"no convergence at shift {sigma:.3g}"
             break
         except RuntimeError as exc:
@@ -378,7 +416,7 @@ def smallest_singular_value(a, accuracy: float = 1e-9) -> float:
     ``quadratic_gap`` for tall composites."""
     m = _as_matrix(a)
     _check_finite(m)
-    if _is_sparse(m):
+    if sp.issparse(m):
         if max(m.shape) > DENSE_EIGEN_CUTOFF:
             raise ParameterOutOfRange(
                 f"sparse {m.shape[0]}x{m.shape[1]} matrix is too large for the "

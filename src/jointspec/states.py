@@ -17,7 +17,7 @@ import numpy as np
 from . import operators
 from .composites import (ObservableTuple, ProbePoint, _as_probe,
                          minimizing_state)
-from .errors import NumericalFailure, ParameterOutOfRange
+from .errors import NumericalFailure
 from .models import ScaledTuple, write_json
 from .operators import (HermitianOperator, StateVector, expectation,
                         variance_sq)
@@ -171,8 +171,6 @@ def kappa_sweep(t: ObservableTuple, lam, kappas,
     """
     reports = []
     for kappa in np.atleast_1d(np.asarray(kappas, dtype=float)):
-        if kappa <= 0:
-            raise ParameterOutOfRange("kappas must be positive")
         rep = extract_state(ScaledTuple(t, float(kappa)), lam,
                             accuracy=accuracy)
         check_identity(rep)

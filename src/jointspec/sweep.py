@@ -20,8 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .clifford import CliffordRep, build_clifford
-from .composites import (ObservableTuple, ProbePoint, gap_values, localizer,
-                         quadratic_operator, reduced_localizer)
+from .composites import (ObservableTuple, ProbePoint, _as_probe, gap_values,
+                         localizer, quadratic_operator, reduced_localizer)
 from .errors import (ChiralSymmetryViolation, DimensionMismatch,
                      NumericalFailure, ParameterOutOfRange)
 from .models import ssh_grading, write_json
@@ -253,10 +253,8 @@ def sweep_grid(t: ObservableTuple, spec: GridSpec, kind: str,
             values[index] = val
 
     if pruning is None:
-        rows = [list(np.ndindex(*shape))] if len(shape) == 1 else \
-            [[(i, j) for j in range(shape[1])] for i in range(shape[0])]
-        for row in rows:
-            evaluate(row)
+        for row in np.ndindex(*shape[:-1]):
+            evaluate([row + (j,) for j in range(shape[-1])])
     else:
         eps = float(pruning)
         if eps < 0:
@@ -286,11 +284,8 @@ def epsilon_mask(grid: GapGrid, epsilon: float) -> np.ndarray:
     """Boolean mask of the epsilon-sublevel set; skipped/failed cells are False."""
     if epsilon < 0:
         raise ParameterOutOfRange("epsilon must be >= 0")
-    with np.errstate(invalid="ignore"):
-        mask = grid.values <= epsilon
-    mask &= ~grid.skipped_mask
-    mask &= np.isfinite(grid.values)
-    return mask
+    return ((grid.values <= epsilon) & ~grid.skipped_mask
+            & np.isfinite(grid.values))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +322,7 @@ def spectral_flow(path: Callable[[float], ObservableTuple], lam,
             if model.d_total != 2:
                 raise ChiralSymmetryViolation(
                     "reduced localizer needs a two-observable chiral model")
-            lam_arr = np.atleast_1d(np.asarray(
-                lam.coords if isinstance(lam, ProbePoint) else lam, dtype=float))
+            lam_arr = _as_probe(lam).coords
             x, h = model.ops
             if lam_arr.size > 1 and lam_arr[1] != 0.0:
                 h = HermitianOperator(h.dense() - lam_arr[1] * np.eye(h.dim))

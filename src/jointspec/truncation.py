@@ -22,8 +22,7 @@ from .composites import ObservableTuple, quadratic_gap, shifted_observables
 from .errors import (CTooLarge, DimensionMismatch, EmptyBall,
                      ParameterOutOfRange, ZNotInvertible)
 from .models import write_json
-from .operators import (HermitianOperator, _is_sparse, operator_norm,
-                        solves_densely)
+from .operators import HermitianOperator, operator_norm, solves_densely
 
 __all__ = [
     "TruncationCertificate",
@@ -121,11 +120,7 @@ def distance_operator(t: ObservableTuple) -> HermitianOperator:
                 "small offset (the gap is 1-Lipschitz in the probe) and retry")
         diag = sp.diags(z).tocsr() if any(o.is_sparse for o in ops) else np.diag(z)
         return HermitianOperator(diag)
-    acc = np.zeros((t.dim, t.dim), dtype=complex)
-    for o in ops:
-        m = o.dense()
-        acc += m @ m
-    vals, vecs = np.linalg.eigh(acc)
+    vals, vecs = np.linalg.eigh(sum(m @ m for m in (o.dense() for o in ops)))
     if vals.min() <= Z_MIN ** 2:
         raise ZNotInvertible("the squared-distance operator is singular")
     return HermitianOperator((vecs * np.sqrt(vals)) @ vecs.conj().T)
@@ -146,13 +141,13 @@ def perturbation_constant(t: ObservableTuple, h: HermitianOperator,
     mid = hm @ h0m + h0m @ hm + h0m @ h0m
     if z.is_diagonal:
         zinv = 1.0 / z.diagonal().real
-        if _is_sparse(mid):
+        if sp.issparse(mid):
             mid = sp.diags(zinv) @ mid @ sp.diags(zinv)
         else:
             mid = mid * np.outer(zinv, zinv)
     else:
         zinv_mat = np.linalg.inv(z.dense())
-        mid = zinv_mat @ (mid.toarray() if _is_sparse(mid) else mid) @ zinv_mat
+        mid = zinv_mat @ (mid.toarray() if sp.issparse(mid) else mid) @ zinv_mat
     return float(operator_norm(mid))
 
 
@@ -208,14 +203,12 @@ def compress_to_ball(t: ObservableTuple, rho: float):
 
 def _far_field_zeroing(h, keep, dim):
     """H0 = -(H - P H P): cancels every entry of H touching the far field."""
-    if _is_sparse(h.mat):
+    if sp.issparse(h.mat):
         proj = sp.diags(np.isin(np.arange(dim), keep).astype(float)).tocsr()
         h0 = (proj @ h.mat @ proj - h.mat).tocsr()
     else:
-        mask = np.zeros(dim, dtype=bool)
-        mask[keep] = True
         h0 = -np.array(h.mat)
-        h0[np.ix_(mask, mask)] = 0.0
+        h0[np.ix_(keep, keep)] = 0.0
     return HermitianOperator(h0)
 
 

@@ -305,3 +305,13 @@ def test_run_recipe_list_and_bool_arguments(capsys, tmp_path, full):
     mu_full = quadratic_gap(build_ssh(30), [30.3, 0.0]) if full else None
     assert doc["mu_full"] == mu_full
     assert [rung["rho"] for rung in doc["ladder"]] == [3.0, 6.0]
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf", "0", "-1"])
+def test_kappa_must_be_positive_and_finite(capsys, kappa):
+    for argv in (["gap", "--model", "ssh", "--lambda", "3,0", "--kappa",
+                  kappa],
+                 ["states", "--model", "ssh", "--lambda", "3,0", "--kappas",
+                  kappa]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "kappa must be positive and finite" in err

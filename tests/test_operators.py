@@ -228,3 +228,95 @@ def test_sparse_operator_norm_logs_one_debug_record(caplog):
     text = records[0].getMessage()
     assert "150x60" in text and "Lanczos steps" in text and "residual" in text
     assert value == operator_norm(m)
+
+
+# -- shift-invert Lanczos against exact spectra -------------------------------
+
+
+def known_spectrum(dim, seed=5):
+    """Sparse block diagonal of randomly rotated 2x2 Hermitian blocks (one
+    1x1 block when dim is odd) with eigenvalues -(-1)^j (j + 1/2) / 100: the
+    one nearest 0 is -0.005, the next 0.015.  Returns the matrix and its
+    eigenvalues sorted by distance from 0."""
+    r = np.random.default_rng(seed)
+    e = -(-1.0) ** np.arange(dim) * (np.arange(dim) + 0.5) / 100.0
+    blocks = []
+    for i in range(0, dim - 1, 2):
+        u, _ = np.linalg.qr(r.standard_normal((2, 2))
+                            + 1j * r.standard_normal((2, 2)))
+        blocks.append((u * e[i:i + 2]) @ u.conj().T)
+    if dim % 2:
+        blocks.append(e[-1:, None])
+    return sp.block_diag(blocks, format="csc"), e
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """Fail on any dense eigendecomposition of the matrix being solved."""
+    def forbidden(m, k):
+        raise AssertionError(f"dense solve of dim {m.shape[0]}")
+
+    monkeypatch.setattr(operators, "_dense_nearest_zero", forbidden)
+
+
+@pytest.mark.parametrize("dim", [513, 4098])
+def test_shift_invert_matches_known_spectrum(dim, no_lapack):
+    # both sides of DENSE_EIGEN_CUTOFF, above SPARSE_EIGEN_CUTOFF
+    m, e = known_spectrum(dim)
+    assert not operators.solves_densely(dim, True)
+    for k in (1, 2):
+        w, v = eigenpair_nearest_zero(m, k=k)
+        np.testing.assert_allclose(w, e[:k], rtol=0, atol=1e-12)
+        # shift-invert's residual test is relative to the inverse: ||m||
+        assert np.linalg.norm(m @ v - v * w) <= 1e-9 * np.abs(e).max()
+
+
+def test_shift_invert_step_cap_on_both_sides_of_dense_cutoff(monkeypatch,
+                                                             caplog):
+    monkeypatch.setattr(operators, "SHIFT_INVERT_MAX_STEPS", 2)
+    big, _ = known_spectrum(4098)
+    with pytest.raises(NumericalFailure, match="did not converge"):
+        eigenpair_nearest_zero(big)
+    small, e = known_spectrum(513)
+    with caplog.at_level(logging.WARNING, logger="jointspec"):
+        w, _ = eigenpair_nearest_zero(small, k=2)
+    np.testing.assert_allclose(w, e[:2], rtol=0, atol=1e-12)
+    assert [r.getMessage().split(";")[0] for r in caplog.records] == [
+        "shift-invert on dim 513 gave no eigenpairs (no convergence at shift "
+        "0)"]
+
+
+def test_sparse_solves_call_no_eigsh(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    monkeypatch.setattr(spla, "eigsh", lambda *a, **k: calls.append(a))
+    m, e = known_spectrum(600)
+    assert eigenpair_nearest_zero(m, k=2)[0][1] == pytest.approx(e[1])
+    operator_norm(m)
+    assert calls == []
+
+
+def test_shift_invert_logs_one_debug_record_per_solve(caplog):
+    m, _ = known_spectrum(4098)
+    quiet = eigenpair_nearest_zero(m, k=2)
+    with caplog.at_level(logging.DEBUG, logger="jointspec"):
+        w, v = eigenpair_nearest_zero(m, k=2)
+    records = [r for r in caplog.records if r.name == "jointspec"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    text = records[0].getMessage()
+    for part in ("dim 4098", "symmetric factor", "k=2", "Lanczos steps",
+                 "residual estimate"):
+        assert part in text
+    assert np.array_equal(w, quiet[0]) and np.array_equal(v, quiet[1])
+
+
+def test_shift_invert_settles_the_far_end_first():
+    # the inverse has an isolated 10.99, whose Ritz value converges within a
+    # dozen steps, while its eigenvalue of largest magnitude, -11, is the
+    # edge of a cluster reaching to -5 that Lanczos resolves slowly;
+    # accepting 10.99 before the far end settles would return 1/10.99
+    theta = np.concatenate([[10.99], np.linspace(-11.0, -5.0, 599)])
+    m = sp.diags(1.0 / theta).tocsc()
+    w, _ = eigenpair_nearest_zero(m)
+    assert abs(w[0] + 1.0 / 11.0) <= 1e-12

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
 
 import jointspec.composites as composites
 import jointspec.operators as operators
@@ -274,8 +273,8 @@ def plant(monkeypatch, exc):
 
 @pytest.fixture
 def no_convergence(monkeypatch):
-    plant(monkeypatch, ArpackNoConvergence("planted", np.empty(0),
-                                           np.empty((0, 0))))
+    """Cap shift-invert Lanczos at 2 steps, so no solve converges."""
+    monkeypatch.setattr(operators, "SHIFT_INVERT_MAX_STEPS", 2)
 
 
 @pytest.fixture
@@ -361,9 +360,8 @@ def test_no_convergence_above_dense_cutoff_fails(no_convergence, monkeypatch,
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """Keyword arguments of every splu call: ours and eigsh's own."""
+    """Keyword arguments of every splu call."""
     import scipy.sparse.linalg as spla
-    from scipy.sparse.linalg._eigen.arpack import arpack
 
     calls = []
     orig = spla.splu
@@ -373,7 +371,6 @@ def splu_calls(monkeypatch):
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", spy)
-    monkeypatch.setattr(arpack, "splu", spy)
     return calls
 
 
@@ -470,3 +467,67 @@ def test_extract_state_factorizes_q_once(splu_calls):
     check_identity(report)
     mu = quadratic_gap(scale_positions(base, 0.5), [3.5, 0.0, 0.0])
     assert abs(report.mu_q - mu) <= 1e-12 * max(1.0, mu)
+
+
+# -- shift-invert Lanczos on the Chern composites -----------------------------
+
+
+@pytest.mark.parametrize("nx,lam", [(12, [2.5, -1.0, 0.3]),
+                                    (20, [0.3, -0.2, 0.0]),
+                                    (20, [-1.5, 2.0, -0.4])])
+def test_localizer_nearest_negative_eigenvalue_matches_dense(nx, lam):
+    # L is indefinite: its eigenvalue nearest 0 is negative at these probes,
+    # the far end of the inverse's spectrum
+    t = chern_half(nx)
+    m = localizer_pencil(t, build_clifford(3), lam).at(lam)
+    assert m.shape[0] > operators.SPARSE_EIGEN_CUTOFF
+    ref = dense_nearest_zero(m)[0]
+    assert ref < 0
+    w, _ = eigenpair_nearest_zero(m)
+    assert abs(w[0] - ref) <= 1e-10 * abs(ref)
+
+
+def test_near_degenerate_q_returns_the_lowest_eigenvalue():
+    # the two lowest eigenvalues are 2.09195016 and 2.09199408
+    lam = [2.15, 0.0, 0.0]
+    m = quadratic_pencil(chern_half(20), lam).at(lam)
+    w, _ = eigenpair_nearest_zero(m)
+    assert abs(w[0] - 2.09195016) <= 1e-8
+
+
+PROBES = [[2.15, 0.0, 0.0], [0.3, -0.2, 0.0], [3.75, 3.75, 0.0],
+          [4.5, 0.0, 0.0], [0.0, 0.0, 0.0], [1.1, 2.3, 0.2]]
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0])
+def test_degeneracy_flag_matches_dense(kappa):
+    # at (2.15, 0, 0) the lowest pair is exact for kappa = 1 (2.81453778
+    # twice) and split by 4.4e-5 for kappa = 0.5
+    t = scale_positions(build_chern2d(20, 20), kappa)
+    flags = []
+    for lam in PROBES:
+        _, degenerate, _ = composites.minimizing_state(t, lam)
+        w = np.linalg.eigvalsh(direct_q(t, lam))
+        assert degenerate == (w[1] - w[0] <= composites.DEGENERACY_TOL
+                              * max(1.0, abs(w[0])))
+        flags.append(degenerate)
+    assert flags[0] == (kappa == 1.0)
+
+
+def test_minimizing_state_residual_scale_is_size_free(monkeypatch):
+    # Chern-20 at the origin: a planted eigenvector with residual 1e-5 passes
+    # 1e-8 ||Q||_F = 2.4e-5 but not 1e-8 sum_j (||X_j|| + |lam_j|)^2 = 2.4e-6
+    t = build_chern2d(20, 20)
+    lam = [0.0, 0.0, 0.0]
+    w, u = np.linalg.eigh(direct_q(t, lam))
+    tilt = 1e-5 / (w[-1] - w[0])
+    v = np.column_stack([u[:, 0] + tilt * u[:, -1], u[:, 1]])
+    v[:, 0] /= np.linalg.norm(v[:, 0])
+    q = direct_q(t, lam)
+    resid = np.linalg.norm(q @ v[:, 0] - w[0] * v[:, 0])
+    assert 1e-8 * composites._q_scale(t, lam) < resid \
+        < 1e-8 * np.linalg.norm(q)
+    monkeypatch.setattr(composites, "eigenpair_nearest_zero",
+                        lambda m, accuracy, k=1: (w[:2], v))
+    with pytest.raises(NumericalFailure, match="residual"):
+        composites.minimizing_state(t, lam)

@@ -5,7 +5,8 @@ import pytest
 
 from jointspec.composites import ObservableTuple
 from jointspec.errors import ParameterOutOfRange
-from jointspec.models import ScaledTuple, build_chern2d, build_ssh
+from jointspec.models import (ScaledTuple, build_chern2d, build_ssh,
+                              scale_positions)
 from jointspec.states import check_identity, extract_state, kappa_sweep
 
 
@@ -114,3 +115,14 @@ def test_report_json_roundtrip(tmp_path):
     assert doc["kappa"] == 0.5
     assert np.isclose(sum(doc["site_probabilities"]), 1.0)
     assert doc["site_shape"] == [4, 4]
+
+
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), 0.0, -1.0])
+def test_kappa_rule_has_one_home(kappa):
+    t = commuting_toy()
+    for call in (lambda: scale_positions(t, kappa),
+                 lambda: ScaledTuple(t, kappa),
+                 lambda: kappa_sweep(t, [1.0, 5.0], [0.5, kappa])):
+        with pytest.raises(ParameterOutOfRange,
+                           match="kappa must be positive and finite"):
+            call()
