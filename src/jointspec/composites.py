@@ -14,7 +14,6 @@ never solved for.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -174,7 +173,9 @@ class Pencil:
             if base is not None:
                 rows, cols, vals = _coo(base.mat)
                 keys.append(self._keys(rows, cols))
-            pattern = np.unique(np.concatenate(keys))
+            # not np.unique: its hashing is ~30x slower on a Chern-70 Q
+            pattern = np.sort(np.concatenate(keys))
+            pattern = pattern[np.append(True, np.diff(pattern) != 0)]
             idx = np.int32 if pattern.size < 2 ** 31 else np.int64
             self._indices = (pattern % dim).astype(idx)
             self._indptr = np.searchsorted(pattern // dim,
@@ -205,11 +206,17 @@ class Pencil:
         return out
 
     def matrix(self, values):
-        """The composite for one row of ``values``."""
+        """The composite for one row of ``values``, which a sparse matrix
+        takes over: it leaves out every exact zero (a coordinate at 0 drops
+        its terms), since stored zeros would enlarge the factorization."""
         n = self.dim
         if self.fmt == "dense":
             return values.reshape(n, n)
-        return sp.csc_matrix((values, self._indices, self._indptr), shape=(n, n))
+        m = sp.csc_matrix((values, self._indices, self._indptr), shape=(n, n))
+        if not values.all():
+            m.indices, m.indptr = m.indices.copy(), m.indptr.copy()
+            m.eliminate_zeros()
+        return m
 
     def at(self, lam):
         """The composite at one probe."""
@@ -233,9 +240,8 @@ def _block_entries(n, g):
             np.tile(g[gi, gk], n))
 
 
-def _affine_pencil(ops, gammas, fmt, skip=()) -> Pencil:
-    """sum_j (X_j - lam_j) (x) Gamma_j, for probes with lam_j = 0 for j in
-    ``skip`` (non-diagonal coordinates only)."""
+def _affine_pencil(ops, gammas, fmt) -> Pencil:
+    """sum_j (X_j - lam_j) (x) Gamma_j."""
     n = ops[0].dim
     base, shift, lin = None, [], []
     for j, (o, g) in enumerate(zip(ops, gammas)):
@@ -247,16 +253,14 @@ def _affine_pencil(ops, gammas, fmt, skip=()) -> Pencil:
         m = o.mat if fmt == "dense" else sp.csr_matrix(o.mat)
         term = sp.kron(m, g, format="csr") if sp.issparse(m) else np.kron(m, g)
         base = term if base is None else base + term
-        if j not in skip:
-            lin.append((j, rows, cols, 0.0, gv))
+        lin.append((j, rows, cols, 0.0, gv))
     dim = n * gammas[0].shape[0]
     return Pencil(dim, fmt, None if base is None else HermitianOperator(base),
                   shift + lin)
 
 
-def _quadratic_pencil(ops, fmt, skip=()) -> Pencil:
-    """sum_j (X_j - lam_j)^2 = sum_j X_j^2 - 2 lam_j X_j + lam_j^2, for
-    probes with lam_j = 0 for j in ``skip`` (non-diagonal coordinates only)."""
+def _quadratic_pencil(ops, fmt) -> Pencil:
+    """sum_j (X_j - lam_j)^2 = sum_j X_j^2 - 2 lam_j X_j + lam_j^2."""
     n = ops[0].dim
     diag = np.arange(n)
     base, shift, lin, sq = None, [], [], []
@@ -266,56 +270,37 @@ def _quadratic_pencil(ops, fmt, skip=()) -> Pencil:
             continue
         m = o.mat
         base = m @ m if base is None else base + m @ m
-        if j not in skip:
-            rows, cols, vals = _coo(m)
-            lin.append((j, rows, cols, 0.0, 2.0 * vals))
-            sq.append((j, diag, diag, 0.0, None))
+        rows, cols, vals = _coo(m)
+        lin.append((j, rows, cols, 0.0, 2.0 * vals))
+        sq.append((j, diag, diag, 0.0, None))
     return Pencil(n, fmt, None if base is None else HermitianOperator(base),
                   shift + lin + sq)
 
 
-def _cached(t: ObservableTuple, key, variant, build):
-    """The pencil cached on t under key, rebuilt when its variant changes
-    (one variant is kept, so a model never holds two of one composite)."""
-    cache = t._pencils
-    if key not in cache or cache[key][0] != variant:
-        cache.pop(key, None)  # the old pencil goes before the new one is built
-        cache[key] = (variant, build())
-    return cache[key][1]
+def _cached(t: ObservableTuple, key, build) -> Pencil:
+    """The pencil cached on t under key, built on first use."""
+    if key not in t._pencils:
+        t._pencils[key] = build()
+    return t._pencils[key]
 
 
 def _solver_format(t: ObservableTuple, dim: int) -> str:
     return "dense" if solves_densely(dim, t.is_sparse) else "csc"
 
 
-def _zero_terms(t: ObservableTuple, fmt: str, lam) -> tuple:
-    """Non-diagonal coordinates that are 0 at lam, whose entries a sparse
-    pencil leaves out: stored zeros would enlarge the factorization."""
-    if fmt == "dense" or lam is None:
-        return ()
-    return tuple(j for j, s in enumerate(lam)
-                 if s == 0.0 and not t.ops[j].is_diagonal)
+def quadratic_pencil(t: ObservableTuple) -> Pencil:
+    """Pencil of Q, built on first use and cached on the tuple."""
+    return _cached(t, "Q", lambda: _quadratic_pencil(
+        t.ops, _solver_format(t, t.dim)))
 
 
-def quadratic_pencil(t: ObservableTuple, lam=None) -> Pencil:
-    """Pencil of Q, built on first use and cached on the tuple.  Given a
-    probe, a sparse pencil is the one for probes with the same zero
-    coordinates."""
-    fmt = _solver_format(t, t.dim)
-    skip = _zero_terms(t, fmt, lam)
-    return _cached(t, "Q", skip, lambda: _quadratic_pencil(t.ops, fmt, skip))
-
-
-def localizer_pencil(t: ObservableTuple, rep: CliffordRep, lam=None) -> Pencil:
-    """Pencil of L for one Clifford representation, cached on the tuple;
-    ``lam`` as for ``quadratic_pencil``."""
+def localizer_pencil(t: ObservableTuple, rep: CliffordRep) -> Pencil:
+    """Pencil of L for one Clifford representation, cached on the tuple."""
     if rep.d != t.d_total:
         raise RepMismatch(f"representation has d={rep.d}, tuple has d={t.d_total}")
-    fmt = _solver_format(t, t.dim * rep.rep_dim)
-    skip = _zero_terms(t, fmt, lam)
     key = ("L",) + tuple(g.tobytes() for g in rep.gammas)
-    return _cached(t, key, skip,
-                   lambda: _affine_pencil(t.ops, rep.gammas, fmt, skip))
+    return _cached(t, key, lambda: _affine_pencil(
+        t.ops, rep.gammas, _solver_format(t, t.dim * rep.rep_dim)))
 
 
 def shifted_observables(t: ObservableTuple, lam) -> list:
@@ -367,14 +352,14 @@ def quadratic_operator(t: ObservableTuple, lam) -> HermitianOperator:
     """Q_lam = sum (X_j - lam_j)^2, positive-semidefinite, size n x n."""
     lam = _checked_probe(t, lam)
     return HermitianOperator.trusted(
-        quadratic_pencil(t, lam.coords).at(lam.coords))
+        quadratic_pencil(t).at(lam.coords))
 
 
 def localizer(t: ObservableTuple, lam, rep: CliffordRep) -> HermitianOperator:
     """L_lam = sum (X_j - lam_j) (x) Gamma_j of dimension n * rep_dim."""
     lam = _checked_probe(t, lam)
     return HermitianOperator.trusted(
-        localizer_pencil(t, rep, lam.coords).at(lam.coords))
+        localizer_pencil(t, rep).at(lam.coords))
 
 
 #: bytes a dense batch holds at once: a stack of composites handed to
@@ -387,7 +372,8 @@ def _spectra(stack: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each Hermitian matrix in a (k, n, n) stack,
     by one ``eigvalsh`` call; a single matrix is a stack of one, so it gets
     the same bytes as inside a larger stack.  If LAPACK fails on the stack,
-    its matrices are solved one by one and a failing one reads NaN."""
+    its matrices are solved one by one and a failing one reads NaN, with
+    one warning."""
     try:
         return np.linalg.eigvalsh(stack)
     except np.linalg.LinAlgError:
@@ -395,6 +381,9 @@ def _spectra(stack: np.ndarray) -> np.ndarray:
         for i in range(len(stack)):
             with contextlib.suppress(np.linalg.LinAlgError):
                 w[i] = np.linalg.eigvalsh(stack[i:i + 1])[0]
+        _LOG.warning("eigvalsh failed on a stack of %d matrices of dim %d; "
+                     "solved one by one, %d read NaN", len(stack),
+                     stack.shape[1], np.isnan(w[:, 0]).sum())
         return w
 
 
@@ -447,14 +436,11 @@ def gap_values(t: ObservableTuple, lams, kind: str,
     if lams.ndim != 2 or lams.shape[1] != t.d_total:
         raise DimensionMismatch(
             f"probe has {lams.shape[-1]} coordinates for a {t.d_total}-tuple")
-    if kind == "quadratic":
-        dim, pencil_at = t.dim, functools.partial(quadratic_pencil, t)
-    else:
-        rep = rep or build_clifford(t.d_total)
-        dim = t.dim * rep.rep_dim
-        pencil_at = functools.partial(localizer_pencil, t, rep)
+    pencil = quadratic_pencil(t) if kind == "quadratic" else \
+        localizer_pencil(t, rep or build_clifford(t.d_total))
+    dim = pencil.dim
 
-    def value(pencil, lam, row, w):
+    def value(lam, row, w):
         """The gap from the composite's signed eigenvalue w (None: solve
         the sparse composite for it and its eigenvector)."""
         v = None
@@ -470,13 +456,8 @@ def gap_values(t: ObservableTuple, lams, kind: str,
         except NumericalFailure as exc:
             return exc
 
-    if _solver_format(t, dim) != "dense":
-        out = []
-        for lam in lams:
-            pencil = pencil_at(lam)
-            out.append(value(pencil, lam, pencil.values(lam[None])[0], None))
-        return out
-    pencil = pencil_at(None)
+    if pencil.fmt != "dense":
+        return [value(lam, pencil.values(lam[None])[0], None) for lam in lams]
     chunk = max(1, STACK_BYTES // (4 * 16 * dim * dim))
     out = []
     for lo in range(0, len(lams), chunk):
@@ -487,7 +468,7 @@ def gap_values(t: ObservableTuple, lams, kind: str,
         # negative one; L: the eigenvalue nearest 0
         w = w[:, 0] if kind == "quadratic" else \
             w[np.arange(len(w)), np.argmin(np.abs(w), axis=1)]
-        out.extend(value(pencil, lam, row, float(wi))
+        out.extend(value(lam, row, float(wi))
                    for lam, row, wi in zip(part, vals, w))
     return out
 
@@ -569,7 +550,7 @@ def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
     the last bits, which solves Q separately.
     """
     lam = _checked_probe(t, lam)
-    pencil = quadratic_pencil(t, lam.coords)
+    pencil = quadratic_pencil(t)
     vals = pencil.values(lam.coords[None])[0]
     m = pencil.matrix(vals)
     w, v = eigenpair_nearest_zero(m, accuracy, k=2)

@@ -40,9 +40,6 @@ __all__ = [
     "write_json",
 ]
 
-#: 2D Hilbert spaces larger than this are assembled sparse
-SPARSE_SITE_THRESHOLD = 64
-
 
 def build_ssh(n_cells: int = 4, v: float = 0.7, w: float = 1.4) -> ObservableTuple:
     """Finite SSH chain of 2*n_cells sites: position X and Hamiltonian H.
@@ -150,7 +147,8 @@ def build_chern2d(nx: int = 20, ny: int = 20, A: float = 1.0, B: float = -1.0,
     lower band has Chern number -1.
 
     Position operators are diagonal, recentred so coordinates span a
-    symmetric range, in units of ``lattice_constant``.
+    symmetric range, in units of ``lattice_constant``.  All three are
+    sparse at every size.
     """
     if nx < 2 or ny < 2:
         raise ParameterOutOfRange("nx and ny must both be >= 2")
@@ -171,10 +169,6 @@ def build_chern2d(nx: int = 20, ny: int = 20, A: float = 1.0, B: float = -1.0,
     ys = (np.arange(ny) - (ny - 1) / 2.0) * lattice_constant
     x = sp.kron(sp.kron(iy, sp.diags(xs)), sp.identity(2))
     y = sp.kron(sp.kron(sp.diags(ys), ix), sp.identity(2))
-    if nx * ny <= SPARSE_SITE_THRESHOLD:
-        x, y, h = x.toarray(), y.toarray(), h.toarray()
-    else:
-        x, y, h = x.tocsr(), y.tocsr(), h.tocsr()
     meta = {"kind": "chern2d", "axis_names": ("x", "y", "E"),
             "sites": nx * ny, "orbitals": 2, "shape": (nx, ny),
             "parameters": {"nx": nx, "ny": ny, "A": A, "B": B, "C": C,

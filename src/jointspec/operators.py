@@ -410,7 +410,7 @@ def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1):
     return _dense_nearest_zero(ms, k)
 
 
-def smallest_singular_value(a, accuracy: float = 1e-9) -> float:
+def smallest_singular_value(a) -> float:
     """sigma_min(A) = min over unit v of ||A v||, for rectangular A, by dense
     SVD.  Sparse inputs larger than ``DENSE_EIGEN_CUTOFF`` are refused: use
     ``quadratic_gap`` for tall composites."""

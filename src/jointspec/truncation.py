@@ -22,7 +22,7 @@ from .composites import ObservableTuple, quadratic_gap, shifted_observables
 from .errors import (CTooLarge, DimensionMismatch, EmptyBall,
                      ParameterOutOfRange, ZNotInvertible)
 from .models import write_json
-from .operators import HermitianOperator, operator_norm, solves_densely
+from .operators import HermitianOperator, operator_norm
 
 __all__ = [
     "TruncationCertificate",
@@ -179,8 +179,9 @@ def modified_gap_bounds(t: ObservableTuple, h0: HermitianOperator,
 def compress_to_ball(t: ObservableTuple, rho: float):
     """Restrict every operator to basis vectors within distance rho of the probe.
 
-    Returns (compressed tuple, retained basis indices); requires the position
-    block to be diagonal so the ball is a coordinate subspace.
+    Returns (compressed tuple, retained basis indices), each observable in
+    its own storage; requires the position block to be diagonal so the ball
+    is a coordinate subspace.
     """
     if rho <= 0:
         raise ParameterOutOfRange("rho must be positive")
@@ -188,13 +189,7 @@ def compress_to_ball(t: ObservableTuple, rho: float):
     keep = np.flatnonzero(z <= rho)
     if keep.size == 0:
         raise EmptyBall(f"no basis vector lies within distance {rho} of the probe")
-    ops = []
-    for o in t.ops:
-        sub = o.mat[np.ix_(keep, keep)]
-        if o.is_sparse:
-            sub = (sub.toarray() if solves_densely(keep.size, True)
-                   else sub.tocsr())
-        ops.append(HermitianOperator(sub))
+    ops = [HermitianOperator(o.mat[np.ix_(keep, keep)]) for o in t.ops]
     meta = dict(t.meta)
     meta["compressed_to_rho"] = float(rho)
     return (ObservableTuple(ops, commuting_prefix=t.commuting_prefix, meta=meta),

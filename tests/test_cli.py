@@ -105,6 +105,14 @@ def test_bad_probe_exit_code(capsys):
     assert code == 2
 
 
+def test_sweep_rejects_y_on_a_model_without_a_y_axis(capsys):
+    # SSH's second coordinate is E: y must not sweep it
+    code, _, err = run(capsys, "sweep", "--model", "ssh",
+                       "--grid", "x=0:9:4,y=-1:1:3")
+    assert code == 2
+    assert "unknown grid axis 'y'" in err
+
+
 def test_sweep_outputs_and_determinism(capsys, tmp_path):
     args = ["sweep", "--model", "ssh", "--grid", "x=0:9:11,E=-3:3:11",
             "--kind", "clifford"]

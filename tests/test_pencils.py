@@ -66,7 +66,7 @@ def test_cutoff_decision_at_both_constants():
 def test_quadratic_both_sides_of_sparse_cutoff(n, fmt):
     t = sparse_pair(n, seed=n)
     lam = [0.37, 0.21]
-    assert quadratic_pencil(t, lam).fmt == fmt
+    assert quadratic_pencil(t).fmt == fmt
     ref = np.sqrt(np.linalg.eigvalsh(direct_q(t, lam)).min())
     assert abs(quadratic_gap(t, lam) - ref) <= 1e-9
 
@@ -76,7 +76,7 @@ def test_clifford_both_sides_of_sparse_cutoff(n, fmt):
     t = sparse_pair(n, seed=n)
     rep = build_clifford(2)
     lam = [0.37, 0.21]
-    assert localizer_pencil(t, rep, lam).fmt == fmt
+    assert localizer_pencil(t, rep).fmt == fmt
     ref = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
     assert abs(clifford_gap(t, lam, rep) - ref) <= 1e-9
 
@@ -90,7 +90,7 @@ def test_both_sides_of_dense_cutoff(monkeypatch, n, fmt):
     t = dense_tuple(n, seed=n)
     rep = build_clifford(2)
     lam = [0.3, -0.1]
-    assert localizer_pencil(t, rep, lam).fmt == fmt
+    assert localizer_pencil(t, rep).fmt == fmt
     ref = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
     assert abs(clifford_gap(t, lam, rep) - ref) <= 1e-9
 
@@ -105,16 +105,16 @@ def test_pencil_matches_direct_assembly():
          ([0.3, -0.2, 0.1], [0.0, 0.0, 0.0], [1.1, 0.4, -0.7])),
         # two non-diagonal coordinates: linear and square terms only
         (build_example("pair_3x3"), ([0.3, -0.2], [0.0, 0.0], [-1.1, 0.4])),
-        # CSC pencils; lam_E = 0 leaves H's linear terms out
+        # CSC pencils; lam_E = 0 zeroes H's linear terms
         (sparse_pair(600, seed=7), ([0.3, -0.2], [0.3, 0.0], [-1.1, 0.4])),
     ]
     for t, probes in cases:
         rep = build_clifford(t.d_total)
         for lam in probes:
-            assert quadratic_pencil(t, lam).fmt == \
-                ("csc" if t.is_sparse else "dense")
-            q = quadratic_pencil(t, lam).at(lam)
-            ell = localizer_pencil(t, rep, lam).at(lam)
+            assert quadratic_pencil(t).fmt == \
+                ("dense" if solves_densely(t.dim, t.is_sparse) else "csc")
+            q = quadratic_pencil(t).at(lam)
+            ell = localizer_pencil(t, rep).at(lam)
             q, ell = (m.toarray() if sp.issparse(m) else m for m in (q, ell))
             np.testing.assert_allclose(q, direct_q(t, lam), atol=1e-13)
             np.testing.assert_allclose(ell, direct_l(t, lam, rep), atol=1e-14)
@@ -122,12 +122,50 @@ def test_pencil_matches_direct_assembly():
 
 def test_pencil_calls_never_share_values():
     t = build_chern2d(17, 17)  # Q dim 578: sparse, sharing one pattern
-    pencil = quadratic_pencil(t, [0.5, 0.5, 0.5])
+    pencil = quadratic_pencil(t)
     assert pencil.fmt == "csc"
     first = pencil.at([0.5, 0.5, 0.5])
     kept = first.copy()
     pencil.at([1.5, -0.5, 0.5])
     assert (first != kept).nnz == 0
+
+
+def test_sweep_across_zero_builds_each_pencil_once(monkeypatch):
+    # an (x, E) sweep of Chern-20 whose E axis crosses 0: both composites
+    # are sparse, and a coordinate at 0 only zeroes entries of the pencil
+    builds = []
+
+    def spy(name):
+        build = getattr(composites, name)
+
+        def counting(*args):
+            builds.append(name)
+            return build(*args)
+
+        monkeypatch.setattr(composites, name, counting)
+
+    spy("_quadratic_pencil")
+    spy("_affine_pencil")
+    t = chern_half(20)
+    rep = build_clifford(3)
+    spec = GridSpec(axes=((-1.0, 1.0, 3), (-0.5, 0.5, 3)),
+                    fixed_coords={1: 0.25})
+    for kind in ("quadratic", "clifford"):
+        sweep_grid(t, spec, kind, rep=rep)
+        sweep_grid(t, spec, kind, rep=rep)
+    assert sorted(builds) == ["_affine_pencil", "_quadratic_pencil"]
+
+
+def test_sparse_composite_stores_no_zero():
+    t = chern_half(20)
+    rep = build_clifford(3)
+    q = quadratic_pencil(t).at([0.3, -0.2, 0.0])
+    assert q.nnz == 9760 and np.all(q.data != 0)
+    # x and y on a lattice site zero L's in-site entries as well
+    site = [0.25, -0.25, 0.0]
+    ell = localizer_pencil(t, rep).at(site)
+    assert np.all(ell.data != 0)
+    np.testing.assert_array_equal(ell.toarray(), direct_l(t, site, rep))
 
 
 def test_sweep_builds_no_operator_per_cell(monkeypatch):
@@ -236,13 +274,37 @@ def test_q_clamp_scale_does_not_grow_with_the_lattice(monkeypatch):
     # sum_j (||X_j|| + |lam_j|)^2 = 244.5 puts the clamp at -2.4e-8
     t = build_chern2d(20, 20)
     lam = [0.0, 0.0, 0.0]
-    assert quadratic_pencil(t, lam).fmt == "csc"
+    assert quadratic_pencil(t).fmt == "csc"
     v = np.zeros((t.dim, 1), dtype=complex)
     v[0] = 1.0
     monkeypatch.setattr(composites, "eigenpair_nearest_zero",
                         lambda m, accuracy, k=1: (np.array([-1e-7]), v))
     with pytest.raises(NumericalFailure, match="below the PSD clamp"):
         quadratic_gap(t, lam)
+
+
+def test_failing_stack_is_solved_one_by_one_with_a_warning(monkeypatch,
+                                                           caplog):
+    # SSH Q at (lam_x, 0) has Q_00 = (1 - lam_x)^2 + v^2: 4.49 at lam_x = 3,
+    # the one matrix that also fails on its own
+    eigvalsh = np.linalg.eigvalsh
+
+    def failing(a):
+        if len(a) > 1 or np.isclose(a[0, 0, 0].real, 4.49):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return eigvalsh(a)
+
+    t = build_ssh(4, 0.7, 1.4)
+    lams = [[0.0, 0.0], [3.0, 0.0], [1.0, 0.5]]
+    ref = composites.gap_values(t, lams, "quadratic")
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with caplog.at_level(logging.WARNING, logger="jointspec"):
+        values = composites.gap_values(t, lams, "quadratic")
+    assert [r.getMessage() for r in caplog.records] == [
+        "eigvalsh failed on a stack of 3 matrices of dim 8; solved one by "
+        "one, 1 read NaN"]
+    assert isinstance(values[1], NumericalFailure)
+    assert [values[0], values[2]] == [ref[0], ref[2]]
 
 
 def singular_diagonal():
@@ -317,7 +379,7 @@ def test_no_convergence_recovers_densely(no_convergence, caplog):
     t = chern_half(12)  # L dim 576: sparse, below the dense cutoff
     rep = build_clifford(3)
     lam = [0.3, -0.2, 0.0]
-    assert localizer_pencil(t, rep, lam).fmt == "csc"
+    assert localizer_pencil(t, rep).fmt == "csc"
     ref = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
     with caplog.at_level(logging.INFO, logger="jointspec"):
         mu = clifford_gap(t, lam, rep)
@@ -393,8 +455,8 @@ def test_chern_gaps_match_dense_at_e0(splu_calls, nx, q_fmt):
     t = chern_half(nx)
     rep = build_clifford(3)
     lam = [0.3, -0.2, 0.0]
-    assert quadratic_pencil(t, lam).fmt == q_fmt
-    assert localizer_pencil(t, rep, lam).fmt == "csc"
+    assert quadratic_pencil(t).fmt == q_fmt
+    assert localizer_pencil(t, rep).fmt == "csc"
     ref_c = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
     ref_q = np.sqrt(np.linalg.eigvalsh(direct_q(t, lam)).min())
     assert abs(clifford_gap(t, lam, rep) - ref_c) <= 1e-9
@@ -409,7 +471,7 @@ def test_zero_diagonal_takes_partial_pivoting(splu_calls):
     t = chern_half(12)
     rep = build_clifford(3)
     lam = [0.0, 0.0, 2.0]
-    m = localizer_pencil(t, rep, lam).at(lam)
+    m = localizer_pencil(t, rep).at(lam)
     assert np.count_nonzero(m.diagonal() == 0) > 0
     ref = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
     assert abs(clifford_gap(t, lam, rep) - ref) <= 1e-9
@@ -436,7 +498,7 @@ def test_two_eigenpairs_nearest_zero_match_dense(energy):
     t = chern_half(12)
     rep = build_clifford(3)
     lam = [0.0, 0.0, energy]
-    m = localizer_pencil(t, rep, lam).at(lam)
+    m = localizer_pencil(t, rep).at(lam)
     w, v = operators.eigenpair_nearest_zero(m, k=2)
     ref = dense_nearest_zero(m, k=2)
     np.testing.assert_allclose(np.abs(w), np.abs(ref), rtol=0, atol=1e-9)
@@ -447,7 +509,7 @@ def test_two_eigenpairs_nearest_zero_match_dense(energy):
 def test_sparse_minimizing_state_matches_dense():
     t = chern_half(20)  # Q dim 800: sparse, k = 2
     lam = [0.3, -0.2, 0.0]
-    assert quadratic_pencil(t, lam).fmt == "csc"
+    assert quadratic_pencil(t).fmt == "csc"
     state, degenerate, _ = composites.minimizing_state(t, lam)
     q = direct_q(t, lam)
     w = np.linalg.eigvalsh(q)
@@ -479,7 +541,7 @@ def test_localizer_nearest_negative_eigenvalue_matches_dense(nx, lam):
     # L is indefinite: its eigenvalue nearest 0 is negative at these probes,
     # the far end of the inverse's spectrum
     t = chern_half(nx)
-    m = localizer_pencil(t, build_clifford(3), lam).at(lam)
+    m = localizer_pencil(t, build_clifford(3)).at(lam)
     assert m.shape[0] > operators.SPARSE_EIGEN_CUTOFF
     ref = dense_nearest_zero(m)[0]
     assert ref < 0
@@ -490,7 +552,7 @@ def test_localizer_nearest_negative_eigenvalue_matches_dense(nx, lam):
 def test_near_degenerate_q_returns_the_lowest_eigenvalue():
     # the two lowest eigenvalues are 2.09195016 and 2.09199408
     lam = [2.15, 0.0, 0.0]
-    m = quadratic_pencil(chern_half(20), lam).at(lam)
+    m = quadratic_pencil(chern_half(20)).at(lam)
     w, _ = eigenpair_nearest_zero(m)
     assert abs(w[0] - 2.09195016) <= 1e-8
 
