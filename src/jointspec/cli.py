@@ -60,17 +60,16 @@ def _parse_lambda(text: str) -> np.ndarray:
         raise JointSpecError(f"bad probe point {text!r}; expected e.g. 4,0") from None
 
 
-def _parse_grid(text: str, d_total: int, axis_names=()) -> tuple:
+def _parse_grid(text: str, axis_names) -> tuple:
     """`name=min:max:count[,name=...]` -> (axes, swept coordinate indices).
 
-    Axis names x, y, E map onto probe coordinates by position: x->0,
-    E->last, y->1 for three or more coordinates or a pair whose second
-    axis is named y (on SSH it is E, so y is unknown there).  Unnamed
-    `min:max:count` entries fill coordinates in order.
+    Names are the model's axis names; on an explicit model (axes x1, x2,
+    ...) x and y stand for x1 and x2.  Unnamed `min:max:count` entries fill
+    coordinates in order.
     """
-    name_to_index = {"x": 0, "E": d_total - 1}
-    if d_total > 2 or tuple(axis_names[1:2]) == ("y",):
-        name_to_index["y"] = 1
+    name_to_index = {name: j for j, name in enumerate(axis_names)}
+    name_to_index.update({alias: name_to_index[name] for alias, name in
+                          (("x", "x1"), ("y", "x2")) if name in name_to_index})
     axes, indices = [], []
     for part in text.split(","):
         if "=" in part:
@@ -229,8 +228,7 @@ def _cmd_gap(args) -> int:
 
 def _cmd_sweep(args) -> int:
     t = _built_tuple(args)
-    axes, swept = _parse_grid(args.grid, t.d_total,
-                              t.meta.get("axis_names", ()))
+    axes, swept = _parse_grid(args.grid, t.meta["axis_names"])
     if args.fixed:
         fixed = {int(idx): float(val) for idx, val in
                  (part.split("=") for part in args.fixed.split(","))}

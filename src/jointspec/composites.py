@@ -223,12 +223,10 @@ class Pencil:
         return self.matrix(self.values(np.atleast_2d(lam))[0])
 
 def _coo(m):
-    """(rows, cols, values) of the nonzero entries of a dense or sparse matrix."""
-    if sp.issparse(m):
-        c = m.tocoo()
-        return c.row, c.col, c.data
-    rows, cols = np.nonzero(m)
-    return rows, cols, m[rows, cols]
+    """(rows, cols, values) of the stored entries of a sparse matrix or the
+    nonzero ones of a dense matrix, the latter in row-major order."""
+    c = sp.coo_matrix(m)
+    return c.row, c.col, c.data
 
 
 def _block_entries(n, g):
@@ -250,8 +248,7 @@ def _affine_pencil(ops, gammas, fmt) -> Pencil:
             x = np.repeat(o.diagonal().real, np.count_nonzero(g))
             shift.append((j, rows, cols, x, gv))
             continue
-        m = o.mat if fmt == "dense" else sp.csr_matrix(o.mat)
-        term = sp.kron(m, g, format="csr") if sp.issparse(m) else np.kron(m, g)
+        term = sp.kron(sp.csr_matrix(o.mat), g, format="csr")
         base = term if base is None else base + term
         lin.append((j, rows, cols, 0.0, gv))
     dim = n * gammas[0].shape[0]

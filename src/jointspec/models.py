@@ -199,10 +199,8 @@ class ScaledTuple:
             raise ParameterOutOfRange("tuple has no commuting position block")
         ops = [HermitianOperator(kappa * o.mat) if j < t.commuting_prefix
                else o for j, o in enumerate(t.ops)]
-        meta = dict(t.meta)
-        meta["kappa"] = kappa * meta.get("kappa", 1.0)
         return ObservableTuple(ops, commuting_prefix=t.commuting_prefix,
-                               meta=meta)
+                               meta=t.meta)
 
     def scale_probe(self, lam) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(lam, dtype=float)).copy()

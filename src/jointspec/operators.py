@@ -69,9 +69,8 @@ def _check_finite(m):
 
 
 def _max_abs(m) -> float:
-    if sp.issparse(m):
-        return float(abs(m).max()) if m.nnz else 0.0
-    return float(np.abs(m).max()) if m.size else 0.0
+    # a sparse matrix's size is its stored count
+    return float(abs(m).max()) if m.size else 0.0
 
 
 def _norm_upper_bound(m) -> float:

@@ -118,8 +118,7 @@ def distance_operator(t: ObservableTuple) -> HermitianOperator:
             raise ZNotInvertible(
                 "a lattice site coincides with the probe; shift the probe by a "
                 "small offset (the gap is 1-Lipschitz in the probe) and retry")
-        diag = sp.diags(z).tocsr() if any(o.is_sparse for o in ops) else np.diag(z)
-        return HermitianOperator(diag)
+        return HermitianOperator(sp.diags(z, format="csr"))
     vals, vecs = np.linalg.eigh(sum(m @ m for m in (o.dense() for o in ops)))
     if vals.min() <= Z_MIN ** 2:
         raise ZNotInvertible("the squared-distance operator is singular")
@@ -190,21 +189,14 @@ def compress_to_ball(t: ObservableTuple, rho: float):
     if keep.size == 0:
         raise EmptyBall(f"no basis vector lies within distance {rho} of the probe")
     ops = [HermitianOperator(o.mat[np.ix_(keep, keep)]) for o in t.ops]
-    meta = dict(t.meta)
-    meta["compressed_to_rho"] = float(rho)
-    return (ObservableTuple(ops, commuting_prefix=t.commuting_prefix, meta=meta),
+    return (ObservableTuple(ops, commuting_prefix=t.commuting_prefix, meta=t.meta),
             keep)
 
 
 def _far_field_zeroing(h, keep, dim):
     """H0 = -(H - P H P): cancels every entry of H touching the far field."""
-    if sp.issparse(h.mat):
-        proj = sp.diags(np.isin(np.arange(dim), keep).astype(float)).tocsr()
-        h0 = (proj @ h.mat @ proj - h.mat).tocsr()
-    else:
-        h0 = -np.array(h.mat)
-        h0[np.ix_(keep, keep)] = 0.0
-    return HermitianOperator(h0)
+    proj = sp.diags(np.isin(np.arange(dim), keep).astype(float), format="csr")
+    return HermitianOperator(proj @ h.mat @ proj - h.mat)
 
 
 def truncated_gap(t: ObservableTuple, rho: float, accuracy: float = 1e-9,

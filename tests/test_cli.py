@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from jointspec.cli import main
+from jointspec.cli import _atomic_write, main
 from jointspec.clifford import build_clifford
 from jointspec.composites import clifford_gap, quadratic_gap
 from jointspec.models import build_chern2d, build_ssh, write_matrix_file
@@ -111,6 +111,67 @@ def test_sweep_rejects_y_on_a_model_without_a_y_axis(capsys):
                        "--grid", "x=0:9:4,y=-1:1:3")
     assert code == 2
     assert "unknown grid axis 'y'" in err
+
+
+def test_sweep_rejects_e_on_a_model_without_an_e_axis(capsys):
+    # pauli_pair's axes are x and y: E must not sweep y
+    code, _, err = run(capsys, "sweep", "--model", "pauli_pair",
+                       "--grid", "x=-1:1:3,E=-1:1:3", "--kind", "quadratic")
+    assert code == 2
+    assert "unknown grid axis 'E'" in err
+
+
+def explicit_pair_config(tmp_path):
+    write_matrix_file(tmp_path / "x.txt", np.diag([1.0, -1.0]))
+    write_matrix_file(tmp_path / "y.txt", np.array([[0, 1.0], [1.0, 0]]))
+    cfg = tmp_path / "model.txt"
+    cfg.write_text(f"kind = explicit\nmatrix_file = {tmp_path / 'x.txt'}\n"
+                   f"matrix_file = {tmp_path / 'y.txt'}\n")
+    return ["--model-config", str(cfg)]
+
+
+@pytest.mark.parametrize("model,grid,label", [
+    (["--model", "ssh"], "x=0:9:3,E=-1:1:3", "x=0:9:3;E=-1:1:3"),
+    (["--model", "chern2d", "--param", "nx=4", "--param", "ny=4"],
+     "x=-1:1:3,y=-1:1:3", "x=-1:1:3;y=-1:1:3"),
+    (["--model", "chern2d", "--param", "nx=4", "--param", "ny=4"],
+     "x=-1:1:3,E=-1:1:3", "x=-1:1:3;E=-1:1:3"),
+    (None, "x=-1:1:3,y=-1:1:3", "x1=-1:1:3;x2=-1:1:3"),
+])
+def test_sweep_grid_names_follow_the_model_axes(capsys, tmp_path, model,
+                                                grid, label):
+    csv = tmp_path / "g.csv"
+    model = model or explicit_pair_config(tmp_path)
+    code, _, _ = run(capsys, "sweep", *model, "--grid", grid,
+                     "--kind", "quadratic", "--csv-out", str(csv))
+    assert code == 0
+    assert csv.read_text().splitlines()[0].split(",")[1] == label
+
+
+def test_sweep_json_out(capsys, tmp_path):
+    out_json = tmp_path / "g.json"
+    code, _, _ = run(capsys, "sweep", "--model", "ssh", "--grid",
+                     "x=0:9:4,E=-1:1:3", "--kind", "clifford", "--json-out",
+                     str(out_json))
+    assert code == 0
+    doc = json.loads(out_json.read_text())
+    ref = sweep_grid(build_ssh(), GridSpec(axes=((0.0, 9.0, 4),
+                                                 (-1.0, 1.0, 3))), "clifford")
+    assert doc["axis_names"] == ["x", "E"]
+    assert doc["values"] == ref.values.tolist()
+
+
+def test_atomic_write_cleans_up_when_the_writer_raises(tmp_path):
+    target = tmp_path / "g.csv"
+
+    def writer(path):
+        with open(path, "w") as fh:
+            fh.write("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _atomic_write(str(target), writer)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_outputs_and_determinism(capsys, tmp_path):

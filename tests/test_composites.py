@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from jointspec.clifford import build_clifford
 from jointspec.composites import (ObservableTuple, ProbePoint, clifford_gap,
@@ -9,7 +10,8 @@ from jointspec.composites import (ObservableTuple, ProbePoint, clifford_gap,
                                   quadratic_operator, reduced_localizer,
                                   tall_composite, verify_symmetry)
 from jointspec.errors import (DimensionMismatch, InvalidOperator, NotRealMatrix)
-from jointspec.models import build_example, build_ssh, ssh_grading
+from jointspec.models import (build_chern2d, build_example, build_ssh,
+                              ssh_grading)
 from jointspec.operators import HermitianOperator, smallest_singular_value
 
 rng = np.random.default_rng(11)
@@ -52,6 +54,16 @@ def test_tall_composite_shape_and_sigma():
     assert m.shape == (10, 5)
     assert np.isclose(smallest_singular_value(m), quadratic_gap(t, lam),
                       atol=1e-9)
+
+
+def test_tall_composite_of_a_sparse_model():
+    t = build_chern2d(4, 4)
+    lam = [0.3, -0.2, 0.1]
+    m = tall_composite(t, lam)
+    assert sp.issparse(m) and m.format == "csr"
+    assert m.shape == (3 * t.dim, t.dim)
+    mu = quadratic_gap(t, lam)
+    assert abs(smallest_singular_value(m) - mu) <= 1e-12 * mu
 
 
 def test_quadratic_operator_psd():

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from jointspec import operators
 from jointspec.errors import (DimensionMismatch, InvalidOperator,
-                              NumericalFailure)
+                              NumericalFailure, ParameterOutOfRange)
 from jointspec.operators import (HermitianOperator, StateVector, eigen_error,
                                  eigenpair_nearest_zero, expectation,
                                  operator_norm, smallest_singular_value,
@@ -89,6 +89,12 @@ def test_operator_norm_matches_numpy():
 def test_smallest_singular_value_rectangular():
     a = rng.standard_normal((12, 5))
     assert np.isclose(smallest_singular_value(a), np.linalg.svd(a)[1].min())
+
+
+def test_smallest_singular_value_refuses_a_large_sparse_matrix():
+    n = operators.DENSE_EIGEN_CUTOFF + 1
+    with pytest.raises(ParameterOutOfRange, match="too large"):
+        smallest_singular_value(sp.identity(n, format="csr"))
 
 
 def test_nearest_zero_dense_input():

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from jointspec.errors import (DimensionMismatch, NumericalFailure,
-                              ParameterOutOfRange)
+from jointspec.composites import ObservableTuple
+from jointspec.errors import (ChiralSymmetryViolation, DimensionMismatch,
+                              NumericalFailure, ParameterOutOfRange)
 from jointspec.models import build_example, build_ssh, build_ssh_path
 from jointspec.sweep import (GapGrid, GridSpec, epsilon_mask,
                              model_fingerprint, spectral_flow, sweep_grid)
@@ -158,6 +159,24 @@ def test_spectral_flow_reduced_real_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t," + ",".join(f"eig_{i}" for i in range(1, 9))
     assert len(lines) == 8
+
+
+def test_spectral_flow_reduced_at_nonzero_energy():
+    # H - E breaks the chiral symmetry of the SSH path ...
+    with pytest.raises(ChiralSymmetryViolation):
+        spectral_flow(build_ssh_path, [4.0, 0.5], [0.0], "reduced_localizer")
+
+    # ... unless the path's H carries +E, which the probe's E removes
+    def lifted(tv):
+        x, h = build_ssh_path(tv).ops
+        return ObservableTuple([x, h.dense() + 0.5 * np.eye(h.dim)],
+                               commuting_prefix=1)
+
+    ts = [0.0, 0.5, 1.0]
+    flow = spectral_flow(lifted, [4.0, 0.5], ts, "reduced_localizer")
+    ref = spectral_flow(build_ssh_path, [4.0, 0.0], ts, "reduced_localizer")
+    for a, b in zip(flow.spectra, ref.spectra):
+        assert np.array_equal(a, b)
 
 
 def test_spectral_flow_bad_kind():

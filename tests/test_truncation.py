@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from jointspec.composites import ObservableTuple, quadratic_gap
+from jointspec.clifford import build_clifford
+from jointspec.composites import (ObservableTuple, _coo, localizer,
+                                  quadratic_gap, quadratic_operator)
 from jointspec.errors import (CTooLarge, EmptyBall, ParameterOutOfRange,
                               ZNotInvertible)
 from jointspec.models import build_chern2d, build_ssh
@@ -252,3 +255,40 @@ def test_certificate_without_full_gap_is_valid_json(tmp_path):
     doc = json.loads(path.read_text(), parse_constant=refuse)
     assert doc["upper"] is None and doc["mu_full"] is None
     assert doc["lower"] == 0.0 and doc["C"] == cert.C
+
+
+def test_ball_localizer_is_a_restriction_and_ball_q_is_not():
+    # L is linear in the observables, so the ball's L is the parent's L
+    # restricted to the ball; Q squares them and (H_kk)^2 != (H^2)_kk, so a
+    # ball's Q pencil cannot be taken from the parent's
+    t = shift_to_origin(build_chern2d(8, 8), [0.3, -0.2, 0.0])
+    ball, keep = compress_to_ball(t, 2.5)
+    zero, rep = np.zeros(3), build_clifford(3)
+    lfull = localizer(t, zero, rep).dense()
+    r = lfull.shape[0] // t.dim
+    idx = (keep[:, None] * r + np.arange(r)).ravel()
+    assert np.array_equal(localizer(ball, zero, rep).dense(),
+                          lfull[np.ix_(idx, idx)])
+    qfull = quadratic_operator(t, zero).dense()[np.ix_(keep, keep)]
+    assert np.abs(quadratic_operator(ball, zero).dense() - qfull).max() > 1.0
+
+
+@pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
+def test_storage_agnostic_helpers(storage):
+    # SSH-30 stored dense or sparse: the far-field zeroing and Z agree with
+    # dense references, and _coo lists entries in np.nonzero's order
+    ssh = build_ssh(30, 0.7, 1.4)
+    t = shift_to_origin(ObservableTuple([storage(o.mat) for o in ssh.ops],
+                                        commuting_prefix=1), [30.3, 0.1])
+    h = t.ops[-1]
+    _, keep = compress_to_ball(t, 5.0)
+    ref = -h.dense()
+    ref[np.ix_(keep, keep)] = 0.0
+    assert np.array_equal(_far_field_zeroing(h, keep, t.dim).dense(), ref)
+    z = distance_operator(t)
+    assert z.is_diagonal and z.is_sparse
+    assert np.array_equal(z.dense(), np.diag(np.abs(t.ops[0].diagonal())))
+    rows, cols, vals = _coo(h.mat)
+    r, c = np.nonzero(h.dense())
+    assert np.array_equal(rows, r) and np.array_equal(cols, c)
+    assert np.array_equal(vals, h.dense()[r, c])
