@@ -22,7 +22,7 @@ from .clifford import build_clifford
 from .composites import clifford_gap, gap_pair_with_bound, quadratic_gap
 from .errors import JointSpecError, NumericalFailure
 from .models import (EXAMPLE_NAMES, LatticeModelSpec, build_ssh_path,
-                     scale_positions, write_json)
+                     scale_positions, write_csv, write_json)
 from .states import kappa_sweep
 from .sweep import (GridSpec, epsilon_mask, model_fingerprint, spectral_flow,
                     sweep_grid)
@@ -60,34 +60,40 @@ def _parse_lambda(text: str) -> np.ndarray:
         raise JointSpecError(f"bad probe point {text!r}; expected e.g. 4,0") from None
 
 
-def _parse_grid(text: str, axis_names) -> tuple:
-    """`name=min:max:count[,name=...]` -> (axes, swept coordinate indices).
+def _parse_grid(args, t) -> GridSpec:
+    """`--grid name=min:max:count,...` and `--fixed name=value,...` -> GridSpec.
 
-    Names are the model's axis names; on an explicit model (axes x1, x2,
-    ...) x and y stand for x1 and x2.  Unnamed `min:max:count` entries fill
-    coordinates in order.
+    Both flags name a coordinate by the model's axis name, by its index, or,
+    on an explicit model (axes x1, x2, ...), by x or y for x1 or x2.  Every
+    coordinate neither swept nor fixed is held at 0.
     """
-    name_to_index = {name: j for j, name in enumerate(axis_names)}
-    name_to_index.update({alias: name_to_index[name] for alias, name in
-                          (("x", "x1"), ("y", "x2")) if name in name_to_index})
-    axes, indices = [], []
-    for part in text.split(","):
-        if "=" in part:
-            name, rng = part.split("=", 1)
-            idx = name_to_index.get(name.strip())
-            if idx is None:
-                raise JointSpecError(f"unknown grid axis {name!r}")
-        else:
-            rng, idx = part, len(indices)
-        pieces = rng.split(":")
+    names = t.meta["axis_names"]
+    table = {name: j for j, name in enumerate(names)}
+    table.update({alias: table[name] for alias, name in
+                  (("x", "x1"), ("y", "x2")) if name in table})
+    table.update({str(j): j for j in range(t.d_total)})
+    given = {}
+    for flag, text in (("grid", args.grid), ("fixed", args.fixed or "")):
+        for part in filter(None, text.split(",")):
+            key, _, val = (s.strip() for s in part.partition("="))
+            j = table.get(key)
+            if j is None:
+                raise JointSpecError(f"unknown {flag} axis {key!r}")
+            if j in given:
+                twice = "given twice" if given[j][0] == flag else "both swept and fixed"
+                raise JointSpecError(f"coordinate {names[j]!r} is {twice}")
+            given[j] = (flag, val)
+    axes, fixed = [], {}
+    for j in range(t.d_total):
+        flag, val = given.get(j, ("fixed", "0"))
+        if flag == "fixed":
+            fixed[j] = float(val)
+            continue
+        pieces = val.split(":")
         if len(pieces) != 3:
-            raise JointSpecError(f"bad axis range {rng!r}; expected min:max:count")
+            raise JointSpecError(f"bad axis range {val!r}; expected min:max:count")
         axes.append((float(pieces[0]), float(pieces[1]), int(pieces[2])))
-        indices.append(idx)
-    order = np.argsort(indices, kind="stable")
-    axes = [axes[i] for i in order]
-    swept = sorted(indices)
-    return axes, swept
+    return GridSpec(axes=tuple(axes), fixed_coords=fixed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kind", choices=["quadratic", "clifford"],
                    default="clifford")
     s.add_argument("--fixed", default=None,
-                   help="fixed coordinates index=value, comma separated")
+                   help="fixed coordinates name=value, comma separated (default 0)")
     s.add_argument("--prune", type=float, default=None,
                    help="skip cells provably above this gap threshold")
     s.add_argument("--epsilon", type=float, default=None,
@@ -228,13 +234,7 @@ def _cmd_gap(args) -> int:
 
 def _cmd_sweep(args) -> int:
     t = _built_tuple(args)
-    axes, swept = _parse_grid(args.grid, t.meta["axis_names"])
-    if args.fixed:
-        fixed = {int(idx): float(val) for idx, val in
-                 (part.split("=") for part in args.fixed.split(","))}
-    else:
-        fixed = {j: 0.0 for j in range(t.d_total) if j not in swept}
-    spec = GridSpec(axes=tuple(axes), fixed_coords=fixed)
+    spec = _parse_grid(args, t)
     start = time.monotonic()
     grid = sweep_grid(t, spec, args.kind, pruning=args.prune,
                       accuracy=args.accuracy, workers=args.workers)
@@ -306,14 +306,9 @@ def _cmd_states(args) -> int:
             raise JointSpecError("site CSV output needs a 2D lattice model")
         nx, ny = rep.site_shape
         probs = rep.site_probabilities.reshape(ny, nx)
-
-        def write_csv(path):
-            with open(path, "w", encoding="ascii", newline="\n") as fh:
-                fh.write(f"# site_probability,kappa={rep.kappa:g}\n")
-                for iy, ix in np.ndindex(ny, nx):
-                    fh.write(f"{ix},{iy},{probs[iy, ix]:.17g}\n")
-
-        _atomic_write(args.sites_csv_out, write_csv)
+        _atomic_write(args.sites_csv_out, lambda p: write_csv(
+            p, f"# site_probability,kappa={rep.kappa:g}",
+            ((ix, iy, probs[iy, ix]) for iy, ix in np.ndindex(ny, nx))))
     return 0
 
 

@@ -95,7 +95,8 @@ class ObservableTuple:
 
     ``commuting_prefix`` marks how many leading operators mutually commute
     (the position block); this is verified at construction.  ``meta`` carries
-    optional lattice bookkeeping (site count, orbitals per site, axis names).
+    optional lattice bookkeeping (orbitals per site, lattice shape, axis
+    names).  A probe (x..., E) reads ``positions`` then the ``hamiltonian``.
     """
 
     __slots__ = ("ops", "commuting_prefix", "meta", "_pencils")
@@ -133,6 +134,21 @@ class ObservableTuple:
     @property
     def is_sparse(self) -> bool:
         return any(o.is_sparse for o in self.ops)
+
+    @property
+    def positions(self) -> tuple:
+        """The commuting position block."""
+        if self.commuting_prefix < 1:
+            raise ParameterOutOfRange("tuple has no commuting position block")
+        return self.ops[:self.commuting_prefix]
+
+    @property
+    def hamiltonian(self) -> HermitianOperator:
+        """The one observable after the position block."""
+        if not 1 <= self.commuting_prefix == self.d_total - 1:
+            raise ParameterOutOfRange(
+                "expected a position block followed by one Hamiltonian")
+        return self.ops[-1]
 
     def __repr__(self):
         return (f"ObservableTuple(d={self.d_total}, dim={self.dim}, "
@@ -311,7 +327,7 @@ def shifted_observables(t: ObservableTuple, lam) -> list:
             continue
         eye = (sp.identity(o.dim, dtype=complex, format="csr") if o.is_sparse
                else np.eye(o.dim, dtype=complex))
-        out.append(HermitianOperator.trusted(o.mat - s * eye))
+        out.append(HermitianOperator(o.mat - s * eye))
     return out
 
 
@@ -348,15 +364,13 @@ def tall_composite(t: ObservableTuple, lam) -> np.ndarray:
 def quadratic_operator(t: ObservableTuple, lam) -> HermitianOperator:
     """Q_lam = sum (X_j - lam_j)^2, positive-semidefinite, size n x n."""
     lam = _checked_probe(t, lam)
-    return HermitianOperator.trusted(
-        quadratic_pencil(t).at(lam.coords))
+    return HermitianOperator(quadratic_pencil(t).at(lam.coords))
 
 
 def localizer(t: ObservableTuple, lam, rep: CliffordRep) -> HermitianOperator:
     """L_lam = sum (X_j - lam_j) (x) Gamma_j of dimension n * rep_dim."""
     lam = _checked_probe(t, lam)
-    return HermitianOperator.trusted(
-        localizer_pencil(t, rep).at(lam.coords))
+    return HermitianOperator(localizer_pencil(t, rep).at(lam.coords))
 
 
 #: bytes a dense batch holds at once: a stack of composites handed to

@@ -38,6 +38,7 @@ __all__ = [
     "read_matrix_file",
     "write_matrix_file",
     "write_json",
+    "write_csv",
 ]
 
 
@@ -52,8 +53,7 @@ def build_ssh(n_cells: int = 4, v: float = 0.7, w: float = 1.4) -> ObservableTup
     hop = np.array([v if i % 2 == 0 else w for i in range(n - 1)], dtype=float)
     h = np.diag(hop, 1) + np.diag(hop, -1)
     x = np.diag(np.arange(1, n + 1, dtype=float))
-    meta = {"kind": "ssh", "axis_names": ("x", "E"), "sites": n, "orbitals": 1,
-            "parameters": {"n_cells": n_cells, "v": v, "w": w}}
+    meta = {"kind": "ssh", "axis_names": ("x", "E"), "orbitals": 1}
     return ObservableTuple([HermitianOperator(x), HermitianOperator(h)],
                            commuting_prefix=1, meta=meta)
 
@@ -169,10 +169,8 @@ def build_chern2d(nx: int = 20, ny: int = 20, A: float = 1.0, B: float = -1.0,
     ys = (np.arange(ny) - (ny - 1) / 2.0) * lattice_constant
     x = sp.kron(sp.kron(iy, sp.diags(xs)), sp.identity(2))
     y = sp.kron(sp.kron(sp.diags(ys), ix), sp.identity(2))
-    meta = {"kind": "chern2d", "axis_names": ("x", "y", "E"),
-            "sites": nx * ny, "orbitals": 2, "shape": (nx, ny),
-            "parameters": {"nx": nx, "ny": ny, "A": A, "B": B, "C": C,
-                           "D": D, "M": M, "lattice_constant": lattice_constant}}
+    meta = {"kind": "chern2d", "axis_names": ("x", "y", "E"), "orbitals": 2,
+            "shape": (nx, ny)}
     return ObservableTuple([x, y, h], commuting_prefix=2, meta=meta)
 
 
@@ -194,13 +192,10 @@ class ScaledTuple:
                 f"kappa must be positive and finite, got {self.kappa!r}")
 
     def build(self) -> ObservableTuple:
-        t, kappa = self.base, self.kappa
-        if t.commuting_prefix < 1:
-            raise ParameterOutOfRange("tuple has no commuting position block")
-        ops = [HermitianOperator(kappa * o.mat) if j < t.commuting_prefix
-               else o for j, o in enumerate(t.ops)]
-        return ObservableTuple(ops, commuting_prefix=t.commuting_prefix,
-                               meta=t.meta)
+        t = self.base
+        ops = [HermitianOperator(self.kappa * o.mat) for o in t.positions]
+        return ObservableTuple(ops + [t.hamiltonian],
+                               commuting_prefix=t.commuting_prefix, meta=t.meta)
 
     def scale_probe(self, lam) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(lam, dtype=float)).copy()
@@ -238,7 +233,6 @@ class LatticeModelSpec:
     parameters: dict = field(default_factory=dict)
     explicit_matrices: Optional[list] = None
     commuting_prefix: int = 1
-    name: str = ""
 
     def __post_init__(self):
         """Check the kind and parameter names, and convert each parameter
@@ -270,7 +264,7 @@ class LatticeModelSpec:
         return ObservableTuple(
             [HermitianOperator(m) for m in self.explicit_matrices],
             commuting_prefix=self.commuting_prefix,
-            meta={"kind": "explicit", "name": self.name,
+            meta={"kind": "explicit",
                   "axis_names": tuple(f"x{j+1}"
                                       for j in range(len(self.explicit_matrices)))})
 
@@ -312,13 +306,13 @@ class LatticeModelSpec:
         return cls(kind=doc.get("kind", ""),
                    parameters=doc.get("parameters", {}),
                    explicit_matrices=matrices,
-                   commuting_prefix=int(doc.get("commuting_prefix", 1)),
-                   name=doc.get("name", ""))
+                   commuting_prefix=int(doc.get("commuting_prefix", 1)))
 
 
 # ---------------------------------------------------------------------------
-# output files: JSON documents, and the dense complex matrix interchange
-# format (header `n`, then n^2 lines `row col re im`, 0-based indices)
+# output files: JSON documents, CSV tables, and the dense complex matrix
+# interchange format (header `n`, then n^2 lines `row col re im`, 0-based
+# indices)
 
 
 def write_json(doc, path) -> None:
@@ -326,6 +320,14 @@ def write_json(doc, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         json.dump(doc, fh, indent=1, allow_nan=False)
         fh.write("\n")
+
+
+def write_csv(path, header: str, rows) -> None:
+    """The header line, then each row's numbers to 17 significant digits."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"{header}\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def read_matrix_file(path) -> np.ndarray:

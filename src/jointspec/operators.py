@@ -115,15 +115,6 @@ class HermitianOperator:
         self._mat = (m + dag) * 0.5
         self._diagonal = self._bound = None
 
-    @classmethod
-    def trusted(cls, matrix) -> "HermitianOperator":
-        """Wrap a matrix that is Hermitian by construction, without copying
-        or re-checking it (composites assembled from validated parts)."""
-        op = cls.__new__(cls)
-        op._mat = matrix
-        op._diagonal = op._bound = None
-        return op
-
     @property
     def mat(self):
         return self._mat

@@ -106,8 +106,9 @@ def extract_state(t, lam, accuracy: float = 1e-9) -> LocalizedStateReport:
     """Minimizing state of the quadratic composite, with marginals.
 
     ``t`` is a ScaledTuple (probe given in unscaled position units) or a plain
-    ObservableTuple with the last operator as Hamiltonian.  Expectations and
-    variances of the positions are reported in unscaled units.
+    ObservableTuple; either holds positions followed by one Hamiltonian.
+    Expectations and variances of the positions are reported in unscaled
+    units.
     """
     lam = _as_probe(lam)
     if isinstance(t, ScaledTuple):
@@ -115,15 +116,14 @@ def extract_state(t, lam, accuracy: float = 1e-9) -> LocalizedStateReport:
         lam_scaled = t.scale_probe(lam.coords)
     else:
         kappa, base, scaled, lam_scaled = 1.0, t, t, lam.coords
+    h = base.hamiltonian
     state, degenerate, mu = minimizing_state(scaled, lam_scaled,
                                              accuracy=accuracy)
     v = _fix_phase(state.vec)
     state = StateVector(v, normalize=True)
 
-    d_pos = base.commuting_prefix
-    h = base.ops[-1]
-    pos_exp = np.array([expectation(base.ops[j], state) for j in range(d_pos)])
-    pos_var = np.array([variance_sq(base.ops[j], state) for j in range(d_pos)])
+    pos_exp = np.array([expectation(x, state) for x in base.positions])
+    pos_var = np.array([variance_sq(x, state) for x in base.positions])
     e_exp = expectation(h, state)
     e_var = variance_sq(h, state)
 

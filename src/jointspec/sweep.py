@@ -24,7 +24,7 @@ from .composites import (ObservableTuple, ProbePoint, _as_probe, gap_values,
                          localizer, quadratic_operator, reduced_localizer)
 from .errors import (ChiralSymmetryViolation, DimensionMismatch,
                      NumericalFailure, ParameterOutOfRange)
-from .models import ssh_grading, write_json
+from .models import ssh_grading, write_csv, write_json
 from .operators import HermitianOperator
 
 __all__ = [
@@ -137,11 +137,9 @@ class GapGrid:
     def to_csv(self, path) -> None:
         """Rows `x[,y],value` in row-major order, 17 significant digits."""
         points = [self.spec.points(ax) for ax in range(len(self.spec.axes))]
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(f"# {self.kind},{self._axes_label()},{self.model_fingerprint}\n")
-            for index in np.ndindex(self.values.shape):
-                fh.write("".join(f"{p[i]:.17g}," for p, i in zip(points, index))
-                         + f"{self.values[index]:.17g}\n")
+        write_csv(path, f"# {self.kind},{self._axes_label()},{self.model_fingerprint}",
+                  ([*(p[i] for p, i in zip(points, index)), self.values[index]]
+                   for index in np.ndindex(self.values.shape)))
 
     def to_pgm(self, path) -> None:
         """16-bit P2 preview; rows run top-to-bottom by decreasing second axis."""
@@ -187,10 +185,8 @@ class SpectralFlowTable:
 
     def to_csv(self, path) -> None:
         k = len(self.spectra[0])
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("t," + ",".join(f"eig_{i + 1}" for i in range(k)) + "\n")
-            for t, spec in zip(self.path_parameter, self.spectra):
-                fh.write(f"{t:.17g}," + ",".join(f"{e:.17g}" for e in spec) + "\n")
+        write_csv(path, "t," + ",".join(f"eig_{i + 1}" for i in range(k)),
+                  ([t, *spec] for t, spec in zip(self.path_parameter, self.spectra)))
 
 
 # ---------------------------------------------------------------------------

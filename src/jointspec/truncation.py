@@ -87,16 +87,10 @@ def shift_to_origin(t: ObservableTuple, lam) -> ObservableTuple:
                            commuting_prefix=t.commuting_prefix, meta=t.meta)
 
 
-def _position_block(t: ObservableTuple):
-    if t.commuting_prefix < 1:
-        raise ParameterOutOfRange("tuple has no commuting position block")
-    return t.ops[:t.commuting_prefix]
-
-
 def _diagonal_distances(t: ObservableTuple) -> np.ndarray:
     """Per-basis-vector Euclidean distance when the position block is diagonal."""
     total = np.zeros(t.dim)
-    for o in _position_block(t):
+    for o in t.positions:
         if not o.is_diagonal:
             raise ParameterOutOfRange(
                 "ball compression requires diagonal position operators")
@@ -111,7 +105,7 @@ def distance_operator(t: ObservableTuple) -> HermitianOperator:
     entry means a site sits exactly on the probe; nudge the probe off-lattice
     (the gap moves by no more than the nudge) and retry.
     """
-    ops = _position_block(t)
+    ops = t.positions
     if all(o.is_diagonal for o in ops):
         z = _diagonal_distances(t)
         if z.min() <= Z_MIN:
@@ -158,17 +152,14 @@ def modified_gap_bounds(t: ObservableTuple, h0: HermitianOperator,
     constant: (1-C)^(1/2) mu <= mu_modified <= (1+C)^(1/2) mu.  C >= 1
     raises CTooLarge before either gap is solved.
     """
-    if t.commuting_prefix != t.d_total - 1:
-        raise ParameterOutOfRange(
-            "expected a position block followed by one Hamiltonian")
-    h = t.ops[-1]
+    h = t.hamiltonian
     c = perturbation_constant(t, h, h0)
     if c >= 1.0:
         raise CTooLarge(
             f"perturbation constant C={c:.3g} >= 1: the sandwich is vacuous")
     mu = quadratic_gap(t, np.zeros(t.d_total), accuracy=accuracy)
     modified = ObservableTuple(
-        list(t.ops[:-1]) + [HermitianOperator(h.mat + h0.mat)],
+        [*t.positions, HermitianOperator(h.mat + h0.mat)],
         commuting_prefix=t.commuting_prefix, meta=t.meta)
     mu_mod = quadratic_gap(modified, np.zeros(t.d_total), accuracy=accuracy)
     return TruncationCertificate(rho=None, C=c, mu_truncated=mu_mod,
@@ -208,10 +199,7 @@ def truncated_gap(t: ObservableTuple, rho: float, accuracy: float = 1e-9,
     min(rho, compressed gap) together with the certificate; the certificate's
     ``full_gap_interval`` brackets the untruncated gap whenever C < 1.
     """
-    if t.commuting_prefix != t.d_total - 1:
-        raise ParameterOutOfRange(
-            "expected a position block followed by one Hamiltonian")
-    h = t.ops[-1]
+    h = t.hamiltonian
     # H + H0 = P H P equals H on the ball, so compressing t is compressing
     # the zeroed tuple
     compressed, keep = compress_to_ball(t, rho)

@@ -384,3 +384,85 @@ def test_kappa_must_be_positive_and_finite(capsys, kappa):
                   kappa]):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "kappa must be positive and finite" in err
+
+
+CHERN4 = ["--model", "chern2d", "--param", "nx=4", "--param", "ny=4"]
+
+
+@pytest.mark.parametrize("model,keys", [
+    (CHERN4, ["E", "2"]),
+    (None, ["x2", "y", "1"]),
+])
+def test_sweep_fixed_by_name_alias_or_index(capsys, tmp_path, model, keys):
+    model = model or explicit_pair_config(tmp_path)
+    grid = "x=-1:1:3,y=-1:1:3" if model is CHERN4 else "x=-1:1:5"
+    written = []
+    for n, key in enumerate(keys):
+        csv = tmp_path / f"f{n}.csv"
+        code, _, _ = run(capsys, "sweep", *model, "--grid", grid,
+                         "--fixed", f"{key}=0.5", "--kind", "quadratic",
+                         "--csv-out", str(csv))
+        assert code == 0
+        written.append(csv.read_bytes())
+    assert written == [written[0]] * len(keys)
+    if model is CHERN4:
+        spec = GridSpec(axes=((-1.0, 1.0, 3), (-1.0, 1.0, 3)),
+                        fixed_coords={2: 0.5})
+        ref = sweep_grid(build_chern2d(4, 4), spec, "quadratic")
+        rows = written[0].decode().splitlines()[1:]
+        assert ([float(r.rsplit(",", 1)[1]) for r in rows]
+                == ref.values.ravel().tolist())
+
+
+@pytest.mark.parametrize("grid,fixed,message", [
+    ("x=-1:1:3,x=-1:1:3", None, "coordinate 'x' is given twice"),
+    ("x=-1:1:3,0=-1:1:3", None, "coordinate 'x' is given twice"),
+    ("x=-1:1:3", "E=0.1,2=0.2", "coordinate 'E' is given twice"),
+    ("x=-1:1:3,y=-1:1:3", "y=0.5", "coordinate 'y' is both swept and fixed"),
+    # index 0 is x: it must not quietly sweep y in x's place
+    ("x=-1:1:3,E=-1:1:3", "0=0.5", "coordinate 'x' is both swept and fixed"),
+    # the positional min:max:count form is gone
+    ("0.5:1:3,-1:1:3", None, "unknown grid axis '0.5:1:3'"),
+])
+def test_sweep_refuses_coordinates_it_cannot_place(capsys, grid, fixed,
+                                                   message):
+    argv = ["sweep", *CHERN4, "--grid", grid, "--kind", "quadratic"]
+    code, _, err = run(capsys, *argv, *(["--fixed", fixed] if fixed else []))
+    assert code == 2 and message in err
+
+
+def test_states_refuses_a_tuple_that_is_not_positions_then_h(capsys, tmp_path):
+    for name, m in (("x", np.diag([1.0, 2.0, 3.0])),
+                    ("y", np.array([[0, 1.0, 0], [1.0, 0, 1.0], [0, 1.0, 0]])),
+                    ("h", np.diag([0.5, -0.5, 0.2]))):
+        write_matrix_file(tmp_path / f"{name}.txt", m)
+    cfg = tmp_path / "model.txt"
+    cfg.write_text("kind = explicit\ncommuting_prefix = 1\n" + "".join(
+        f"matrix_file = {tmp_path / name}.txt\n" for name in "xyh"))
+    code, _, err = run(capsys, "states", "--model-config", str(cfg),
+                       "--lambda", "1,0,0")
+    assert code == 2 and "followed by one Hamiltonian" in err
+
+
+RECIPES = os.path.join(os.path.dirname(__file__), "..", "recipes")
+
+
+@pytest.mark.parametrize("name", [
+    "ssh_clifford_map", "ssh_quadratic_map", "pauli_pair_maps",
+    "ssh_path_localizer_flow", "ssh_path_quadratic_flow",
+    "ssh_path_reduced_flow", "chern_edge_state_kappas"])
+def test_fast_recipe_runs_end_to_end(capsys, tmp_path, monkeypatch, name):
+    recipe = os.path.abspath(os.path.join(RECIPES, f"{name}.json"))
+    with open(recipe) as fh:
+        args = json.load(fh)["arguments"]
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "run", recipe)
+    assert code == 0
+    declared = [v for k, v in args.items() if k.endswith("_out")]
+    kappas = args.get("kappas", "").split(",")
+    if len(kappas) > 1:  # a ladder writes one JSON per kappa
+        base, ext = os.path.splitext(args["json_out"])
+        declared = [f"{base}_kappa{k}{ext}" for k in kappas]
+    assert sorted(os.listdir(tmp_path)) == sorted(declared)
+    for path in declared:
+        assert os.path.getsize(path) > 0

@@ -126,3 +126,20 @@ def test_kappa_rule_has_one_home(kappa):
         with pytest.raises(ParameterOutOfRange,
                            match="kappa must be positive and finite"):
             call()
+
+
+def three_observables_one_position():
+    # (X, Y, H) with only X in the position block: not (x..., E)
+    x = np.diag([1.0, 2.0, 3.0])
+    y = np.array([[0, 1.0, 0], [1.0, 0, 1.0], [0, 1.0, 0]])
+    return ObservableTuple([x, y, np.diag([0.5, -0.5, 0.2])],
+                           commuting_prefix=1)
+
+
+@pytest.mark.parametrize("extract", [
+    lambda t: extract_state(t, [1.0, 0.0, 0.0]),
+    lambda t: kappa_sweep(t, [1.0, 0.0, 0.0], [1.0, 0.5]),
+])
+def test_tuple_must_be_positions_then_one_hamiltonian(extract):
+    with pytest.raises(ParameterOutOfRange, match="followed by one Hamiltonian"):
+        extract(three_observables_one_position())
