@@ -73,12 +73,16 @@ def _parse_grid(args, t) -> GridSpec:
                   (("x", "x1"), ("y", "x2")) if name in table})
     table.update({str(j): j for j in range(t.d_total)})
     given = {}
-    for flag, text in (("grid", args.grid), ("fixed", args.fixed or "")):
+    for flag, text, form in (("grid", args.grid, "min:max:count"),
+                             ("fixed", args.fixed or "", "value")):
         for part in filter(None, text.split(",")):
-            key, _, val = (s.strip() for s in part.partition("="))
+            key, eq, val = (s.strip() for s in part.partition("="))
             j = table.get(key)
             if j is None:
                 raise JointSpecError(f"unknown {flag} axis {key!r}")
+            if not (eq and val):
+                raise JointSpecError(f"bad --{flag} entry {part!r}; "
+                                     f"expected name={form}")
             if j in given:
                 twice = "given twice" if given[j][0] == flag else "both swept and fixed"
                 raise JointSpecError(f"coordinate {names[j]!r} is {twice}")

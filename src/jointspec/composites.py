@@ -16,11 +16,13 @@ from __future__ import annotations
 import contextlib
 import itertools
 import logging
+import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .clifford import CliffordRep, build_clifford
 from .errors import (
@@ -36,6 +38,7 @@ from .errors import (
 from .operators import (
     HermitianOperator,
     StateVector,
+    _SYMMETRIC_LU,
     _max_abs,
     eigenpair_nearest_zero,
     operator_norm,
@@ -46,6 +49,8 @@ COMMUTE_RTOL = 1e-12
 #: clamp for tiny negative eigenvalues of the positive-semidefinite Q
 NEGATIVE_EIG_TOL = 1e-10
 GAP_KINDS = ("quadratic", "clifford")
+#: orders a sparse pencil keeps, one per nonzero pattern (site probes add some)
+PLANS_PER_PENCIL = 8
 
 _LOG = logging.getLogger("jointspec")
 
@@ -169,10 +174,12 @@ class Pencil:
     coordinate has ``x = 0``: its linear term touches the entries of the
     composite as ``-lam_j g``, and the quadratic composite adds ``lam_j^2``
     on the diagonal.  Every call returns a matrix on fresh values; only the
-    read-only pattern is shared between calls.
+    read-only pattern is shared between calls, as are the orders of the
+    nonzero patterns a sparse pencil has solved (``ordered``).
     """
 
-    __slots__ = ("dim", "fmt", "_base", "_indices", "_indptr", "_terms")
+    __slots__ = ("dim", "fmt", "_base", "_indices", "_indptr", "_terms",
+                 "_plans")
 
     def __init__(self, dim, fmt, base, terms):
         """``fmt`` is "dense" or "csc"; ``base`` is a validated
@@ -203,6 +210,7 @@ class Pencil:
                 self._base[keys.pop()] = vals
         self._terms = [(j, pos, x, g)
                        for (j, _, _, x, g), pos in zip(terms, keys)]
+        self._plans = {}
 
     def _keys(self, rows, cols):
         """Sort keys of entries: row-major offsets for a dense pencil,
@@ -237,6 +245,44 @@ class Pencil:
     def at(self, lam):
         """The composite at one probe."""
         return self.matrix(self.values(np.atleast_2d(lam))[0])
+
+    def ordered(self, values):
+        """The composite for one row of ``values`` as the solvers take it,
+        and its layout ``order`` (entry (i, j) is the model's (order[i],
+        order[j])): a sparse one, which takes over the row, in the
+        fill-reducing order of its nonzero pattern; a dense one with None."""
+        if self.fmt == "dense":
+            return self.matrix(values), None
+        key = np.packbits(values != 0).tobytes()
+        plan = self._plans.get(key)
+        if plan is None:
+            if len(self._plans) == PLANS_PER_PENCIL:
+                self._plans.clear()
+            plan = self._plans[key] = self._plan(values)
+        order, take, indices, indptr = plan
+        values[:take.size] = values[take]
+        return sp.csc_matrix((values[:take.size], indices, indptr),
+                             shape=(self.dim, self.dim)), order
+
+    def _plan(self, values):
+        """The ``_SYMMETRIC_LU`` order of the nonzero pattern of ``values``,
+        read off an incomplete LU of the pattern (plus a dominant diagonal)
+        that drops all fill, and the gather and CSC pattern of that order."""
+        n, start = self.dim, time.perf_counter()
+        # each entry holds its place in the row, plus 1 (0 marks a zero)
+        m = self.matrix(np.where(values != 0, np.arange(1.0, values.size + 1), 0))
+        order = np.argsort(spla.spilu(
+            m.sign() + n * sp.identity(n, format="csc"), drop_tol=1.0,
+            fill_factor=1.0, **_SYMMETRIC_LU).perm_c)
+        m = m[order][:, order]
+        m.sort_indices()
+        plan = order, (m.data - 1).astype(self._indices.dtype), m.indices, m.indptr
+        for shared in plan:
+            shared.flags.writeable = False
+        _LOG.debug("fill-reducing order of a dim %d pattern with %d entries: "
+                   "%.3g ms", n, m.nnz, 1e3 * (time.perf_counter() - start))
+        return plan
+
 
 def _coo(m):
     """(rows, cols, values) of the stored entries of a sparse matrix or the
@@ -457,7 +503,8 @@ def gap_values(t: ObservableTuple, lams, kind: str,
         v = None
         try:
             if w is None:
-                w, v = eigenpair_nearest_zero(pencil.matrix(row), accuracy)
+                m, order = pencil.ordered(row)
+                w, v = eigenpair_nearest_zero(m, accuracy, order=order)
                 w, v = float(w[0]), None if v is None else v[:, 0]
             elif np.isnan(w):
                 raise NumericalFailure("dense eigensolver did not converge",
@@ -563,13 +610,14 @@ def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
     lam = _checked_probe(t, lam)
     pencil = quadratic_pencil(t)
     vals = pencil.values(lam.coords[None])[0]
-    m = pencil.matrix(vals)
-    w, v = eigenpair_nearest_zero(m, accuracy, k=2)
+    m, order = pencil.ordered(vals)
+    w, v = eigenpair_nearest_zero(m, accuracy, k=2, order=order)
     if v is None:
         raise NumericalFailure("Q is singular: minimizing state not "
                                "recovered", details={"dim": pencil.dim})
     vec = v[:, 0]
-    resid = np.linalg.norm(m @ vec - w[0] * vec)
+    u = vec if order is None else vec[order]  # in m's layout
+    resid = np.linalg.norm(m @ u - w[0] * u)
     if resid > 1e-8 * _q_scale(t, lam.coords):
         raise NumericalFailure(f"minimizing state residual {resid:.3e} too large")
     degenerate = len(w) > 1 and abs(w[1] - w[0]) <= DEGENERACY_TOL * max(1.0, abs(w[0]))

@@ -302,6 +302,10 @@ class LatticeModelSpec:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ModelConfigError(f"bad JSON model config: {exc}") from exc
+        extra = set(doc) - {"kind", "parameters", "matrix_files",
+                            "commuting_prefix"}
+        if extra:
+            raise ModelConfigError(f"unexpected JSON config keys: {sorted(extra)}")
         matrices = [read_matrix_file(f) for f in doc.get("matrix_files", [])] or None
         return cls(kind=doc.get("kind", ""),
                    parameters=doc.get("parameters", {}),

@@ -228,13 +228,15 @@ def _ritz_test(alpha, beta, b, rtol):
         abs(theta) - abs(other), rtol * abs(other))
 
 
-def _lanczos(apply, n, dtype, rtol, max_steps, vectors=False, locked=()):
+def _lanczos(apply, n, dtype, rtol, max_steps, vectors=False, locked=(),
+             order=None):
     """The eigenvalue of largest magnitude of Hermitian ``apply`` on the
     complement of the unit vectors ``locked``, with its unit Ritz vector if
     asked: ``(theta, vector or None, steps, residual estimate, converged)``.
 
-    Plain Lanczos from start vector ``len(locked)`` (the first run's, less
-    its eigenvector, would hold no other copy of a repeated eigenvalue),
+    Plain Lanczos from start vector ``len(locked)`` in the layout ``order``
+    (the first run's, less its eigenvector, would hold no other copy of a
+    repeated eigenvalue),
     without the restarts and reorthogonalization that extreme Ritz values
     do not need (Paige, Linear Algebra Appl. 34, 1980).  ``_ritz_test`` runs at steps 1 to 8 (before
     ghost copies form), then every 2 to 10 steps, at the cap and once
@@ -250,7 +252,8 @@ def _lanczos(apply, n, dtype, rtol, max_steps, vectors=False, locked=()):
         for y in locked:
             axpy(y, x, a=-dotc(y, x))
 
-    q = start_vector(n, len(locked)).astype(dtype)
+    q = start_vector(n, len(locked))
+    q = (q if order is None else q[order]).astype(dtype)
     deflate(q)
     scal(1.0 / nrm2(q), q)
     basis, alpha, beta = [], [], []
@@ -317,35 +320,38 @@ _SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                  "options": {"SymmetricMode": True}}
 
 
-def _shift_invert(ms, sigma, k, accuracy):
+def _shift_invert(ms, sigma, k, accuracy, order):
     """Lanczos's k eigenpairs of ``ms`` nearest ``sigma``: one ``_lanczos``
     run per pair on the solves of a factor of ``ms - sigma I``, each
     deflating the pairs before it, so a repeated eigenvalue is found once
-    per copy.  The factor is ``_SYMMETRIC_LU``'s unless the diagonal has a
-    zero (fill explodes there).  Unpivoted elimination can be inaccurate:
-    where the runs do not converge or an eigenvalue misses its Rayleigh
-    quotient by more than ``accuracy``, scipy's partial-pivoting LU is
-    tried under the same test, and NumericalFailure raised if that fails
-    too.  Each factor makes one DEBUG record.
+    per copy.  The factor is ``_SYMMETRIC_LU``'s (in ``ms``'s own layout if
+    ``order`` is given) unless the diagonal has a zero (fill explodes there).
+    Unpivoted elimination can be inaccurate: where the runs do not converge
+    or an eigenvalue misses its Rayleigh quotient by more than ``accuracy``,
+    scipy's partial-pivoting LU is tried under the same test, and
+    NumericalFailure raised if that fails too.  Each factor makes one DEBUG
+    record, which names its ordering.
     """
     n, dtype = ms.shape[0], np.result_type(ms.dtype, float)
     shifted = ms - sigma * sp.identity(n, format="csc") if sigma else ms
-    factors = [("partial-pivoting", {})]
+    factors = [("partial-pivoting", {"permc_spec": "COLAMD"})]
     if np.all(ms.diagonal() != sigma):
-        factors.insert(0, ("symmetric", _SYMMETRIC_LU))
+        factors.insert(0, ("symmetric", _SYMMETRIC_LU if order is None
+                           else dict(_SYMMETRIC_LU, permc_spec="NATURAL")))
     for path, options in factors:
         lu, runs = spla.splu(shifted, **options), []
         while len(runs) < k and (not runs or runs[-1][4]):
             runs.append(_lanczos(lu.solve, n, dtype, accuracy,
                                  SHIFT_INVERT_MAX_STEPS, vectors=True,
-                                 locked=[r[1] for r in runs]))
+                                 locked=[r[1] for r in runs], order=order))
         theta, vecs, steps, resid, ok = zip(*runs)
         w, v = sigma + 1.0 / np.array(theta), np.column_stack(vecs)
         err = np.abs(w - np.einsum("ij,ij->j", v.conj(), ms @ v).real)
-        _LOG.debug("shift-invert of dim %d at shift %.3g (%s factor): k=%d, "
-                   "%s Lanczos steps, residual estimate %.3g%s", n, sigma,
-                   path, k, "+".join(map(str, steps)), max(resid),
-                   "" if ok[-1] else ", unconverged")
+        _LOG.debug("shift-invert of dim %d at shift %.3g (%s factor, %s): "
+                   "k=%d, %s Lanczos steps, residual estimate %.3g%s", n,
+                   sigma, path, options["permc_spec"].replace(
+                       "NATURAL", "pencil order"), k, "+".join(map(str, steps)),
+                   max(resid), "" if ok[-1] else ", unconverged")
         if ok[-1] and np.all(err <= accuracy * np.maximum(1.0, np.abs(w))):
             return w, v
         _LOG.info("%s factor at shift %.3g (dim %d) %s: |eigenvalue - "
@@ -362,7 +368,8 @@ def _dense_nearest_zero(m, k):
     return w[order], v[:, order]
 
 
-def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1):
+def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1,
+                           order=None):
     """The k eigenpairs of Hermitian `m` nearest 0, sorted by distance from 0:
     LAPACK where ``solves_densely`` says so, else ``_shift_invert`` at 0,
     retried at a tiny jittered shift if the factor is singular.  If that
@@ -370,7 +377,18 @@ def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1):
     is solved by LAPACK after all, with a warning; a larger one gives
     ``(zeros, None)`` when singular at both shifts and raises
     NumericalFailure when Lanczos did not converge.  Every event is logged.
+
+    ``order``, if given, is `m`'s layout: `m` is ``A[order][:, order]``,
+    factored as it is laid out, and the eigenvectors returned are A's.
     """
+    w, v = _nearest_zero(m, accuracy, k, order)
+    if order is not None and v is not None:
+        v[order] = v.copy()
+    return w, v
+
+
+def _nearest_zero(m, accuracy, k, order):
+    """``eigenpair_nearest_zero`` with the eigenvectors in `m`'s layout."""
     n = m.shape[0]
     if solves_densely(n, sp.issparse(m)):
         return _dense_nearest_zero(m, k)
@@ -379,7 +397,7 @@ def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1):
     for attempt in range(2):
         sigma = 1e-10 * max(1.0, _norm_upper_bound(ms)) if attempt else 0.0
         try:
-            w, v = _shift_invert(ms, sigma, k, accuracy)
+            w, v = _shift_invert(ms, sigma, k, accuracy, order)
         except NumericalFailure:
             if n > DENSE_EIGEN_CUTOFF:
                 raise
@@ -389,8 +407,8 @@ def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1):
             _LOG.info("singular factorization at shift %.3g (dim %d): %s",
                       sigma, n, exc)
             continue
-        order = np.argsort(np.abs(w))
-        return w[order], v[:, order]
+        pick = np.argsort(np.abs(w))
+        return w[pick], v[:, pick]
     if n > DENSE_EIGEN_CUTOFF:
         _LOG.info("matrix of dim %d is singular to working precision; "
                   "nearest-zero eigenvalue reported as 0", n)

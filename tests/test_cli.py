@@ -230,6 +230,14 @@ def test_model_config_file(capsys, tmp_path):
     assert "mu_q=" in out
 
 
+def test_json_model_config_with_unknown_key_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"kind": "ssh", "parameter": {"n_cells": 2}}))
+    code, _, err = run(capsys, "gap", "--model-config", str(cfg),
+                       "--lambda", "2,0", "--kind", "quadratic")
+    assert code == 2 and "'parameter'" in err
+
+
 def test_explicit_model_from_matrix_files(capsys, tmp_path):
     write_matrix_file(tmp_path / "x.txt", np.diag([1.0, -1.0]))
     write_matrix_file(tmp_path / "y.txt", np.array([[0, 1.0], [1.0, 0]]))
@@ -429,6 +437,19 @@ def test_sweep_refuses_coordinates_it_cannot_place(capsys, grid, fixed,
     argv = ["sweep", *CHERN4, "--grid", grid, "--kind", "quadratic"]
     code, _, err = run(capsys, *argv, *(["--fixed", fixed] if fixed else []))
     assert code == 2 and message in err
+
+
+@pytest.mark.parametrize("grid,fixed,message", [
+    ("x=0:9:3", "E", "bad --fixed entry 'E'; expected name=value"),
+    ("x", None, "bad --grid entry 'x'; expected name=min:max:count"),
+])
+def test_sweep_entry_without_value_names_flag_and_entry(capsys, tmp_path,
+                                                        grid, fixed, message):
+    argv = ["sweep", "--model", "ssh", "--grid", grid, "--kind", "quadratic",
+            "--csv-out", str(tmp_path / "out.csv")]
+    code, _, err = run(capsys, *argv, *(["--fixed", fixed] if fixed else []))
+    assert code == 2 and message in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_states_refuses_a_tuple_that_is_not_positions_then_h(capsys, tmp_path):

@@ -169,6 +169,13 @@ def test_model_spec_from_json():
     assert t.dim == 32
 
 
+def test_model_spec_from_json_refuses_unknown_keys():
+    # a misspelled key would otherwise build the default 8-site chain
+    doc = {"kind": "ssh", "parameter": {"n_cells": 2}}
+    with pytest.raises(ModelConfigError, match="'parameter'"):
+        LatticeModelSpec.from_json(json.dumps(doc))
+
+
 def test_model_spec_errors():
     with pytest.raises(ModelConfigError):
         LatticeModelSpec.from_text("v = 0.7\n")  # no kind

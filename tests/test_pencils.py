@@ -278,7 +278,8 @@ def test_q_clamp_scale_does_not_grow_with_the_lattice(monkeypatch):
     v = np.zeros((t.dim, 1), dtype=complex)
     v[0] = 1.0
     monkeypatch.setattr(composites, "eigenpair_nearest_zero",
-                        lambda m, accuracy, k=1: (np.array([-1e-7]), v))
+                        lambda m, accuracy, k=1, order=None:
+                        (np.array([-1e-7]), v))
     with pytest.raises(NumericalFailure, match="below the PSD clamp"):
         quadratic_gap(t, lam)
 
@@ -590,6 +591,155 @@ def test_minimizing_state_residual_scale_is_size_free(monkeypatch):
     assert 1e-8 * composites._q_scale(t, lam) < resid \
         < 1e-8 * np.linalg.norm(q)
     monkeypatch.setattr(composites, "eigenpair_nearest_zero",
-                        lambda m, accuracy, k=1: (w[:2], v))
+                        lambda m, accuracy, k=1, order=None: (w[:2], v))
     with pytest.raises(NumericalFailure, match="residual"):
         composites.minimizing_state(t, lam)
+
+
+# -- one fill-reducing order per sparse pencil pattern ------------------------
+
+
+SYMMETRIC_FACTOR = {"diag_pivot_thresh": 0.0,
+                    "options": {"SymmetricMode": True}}
+
+
+def ordered_at(pencil, lam):
+    """The pencil's composite at lam as the solvers take it, and its order."""
+    return pencil.ordered(pencil.values(np.atleast_2d(lam))[0])
+
+
+def fill(m, permc_spec):
+    import scipy.sparse.linalg as spla
+
+    lu = spla.splu(m, permc_spec=permc_spec, **SYMMETRIC_FACTOR)
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.mark.parametrize("nx,kind", [(12, "L"), (20, "Q"), (20, "L")])
+@pytest.mark.parametrize("energy", [0.0, 0.3])
+def test_ordered_solve_equals_the_mmd_solve(nx, kind, energy):
+    t = chern_half(nx)
+    pencil = quadratic_pencil(t) if kind == "Q" else \
+        localizer_pencil(t, build_clifford(3))
+    assert pencil.fmt == "csc"
+    lam = [0.3, -0.2, energy]
+    m = pencil.at(lam)
+    ordered, order = ordered_at(pencil, lam)
+    assert sorted(order) == list(range(pencil.dim))
+    np.testing.assert_array_equal(
+        ordered.toarray(), m.toarray()[np.ix_(order, order)])
+    # the pencil's order is MMD's: the same fill as SuperLU's own ordering
+    assert abs(fill(ordered, "NATURAL") - fill(m, "MMD_AT_PLUS_A")) \
+        <= 1e-3 * fill(m, "MMD_AT_PLUS_A")
+    w, v = eigenpair_nearest_zero(ordered, k=2, order=order)
+    ref, _ = eigenpair_nearest_zero(m, k=2)
+    np.testing.assert_allclose(w, ref, rtol=1e-12, atol=0)
+    for i in range(2):
+        assert np.linalg.norm(m @ v[:, i] - w[i] * v[:, i]) <= 1e-8
+
+
+def permuted(m, seed):
+    order = np.random.default_rng(seed).permutation(m.shape[0])
+    return sp.csc_matrix(m.toarray()[np.ix_(order, order)]), order
+
+
+def assert_eigenpairs_of(m, w, v):
+    assert v is not None
+    for i in range(len(w)):
+        assert np.linalg.norm(m @ v[:, i] - w[i] * v[:, i]) <= 1e-8
+
+
+def test_ordered_eigenvectors_on_the_factor_paths(caplog):
+    # symmetric factor at E = 0, partial pivoting at the on-site energy
+    # E = 2 (zero diagonal entries) and the jittered shift of a singular
+    # diagonal matrix (an exact zero inside)
+    pencil = localizer_pencil(chern_half(12), build_clifford(3))
+    cases = [(pencil, [0.3, -0.2, 0.0], "symmetric factor, pencil order"),
+             (pencil, [0.0, 0.0, 2.0], "partial-pivoting factor, COLAMD")]
+    for p, lam, path in cases:
+        ordered, order = ordered_at(p, lam)
+        with caplog.at_level(logging.DEBUG, logger="jointspec"):
+            w, v = eigenpair_nearest_zero(ordered, k=2, order=order)
+        assert any(path in r.getMessage() for r in caplog.records)
+        caplog.clear()
+        assert_eigenpairs_of(p.at(lam), w, v)
+    m = singular_diagonal()
+    ordered, order = permuted(m, seed=1)
+    with caplog.at_level(logging.INFO, logger="jointspec"):
+        w, v = eigenpair_nearest_zero(ordered, k=2, order=order)
+    assert any("singular factorization" in r.getMessage()
+               for r in caplog.records)
+    assert_eigenpairs_of(m, w, v)
+
+
+def test_ordered_eigenvectors_after_dense_recovery(singular_twice, caplog):
+    m = localizer_pencil(chern_half(12), build_clifford(3)).at([0.3, -0.2, 0.0])
+    ordered, order = permuted(m, seed=2)
+    with caplog.at_level(logging.WARNING, logger="jointspec"):
+        w, v = eigenpair_nearest_zero(ordered, k=2, order=order)
+    assert len(fallback_warnings(caplog)) == 1
+    assert_eigenpairs_of(m, w, v)
+
+
+def test_row_sweep_orders_each_pattern_once(monkeypatch, caplog):
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    spilu = spla.spilu
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return spilu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "spilu", spy)
+    t = chern_half(20)
+    rep = build_clifford(3)
+    spec = GridSpec(axes=((-5.0, 5.0, 21),), fixed_coords={1: 0.0, 2: 0.0})
+    with caplog.at_level(logging.DEBUG, logger="jointspec"):
+        for kind in ("quadratic", "clifford"):
+            grid = sweep_grid(t, spec, kind, rep=rep)
+            assert not grid.failures
+    assert calls == [800, 1600]
+    orders = [r.getMessage() for r in caplog.records
+              if "fill-reducing order" in r.getMessage()]
+    assert len(orders) == 2
+    assert "dim 800 pattern with 9760 entries" in orders[0]
+    assert orders[0].endswith(" ms")
+
+
+@pytest.mark.parametrize("energy", [0.0, 0.3])
+def test_standalone_on_a_fresh_tuple_equals_sweep_cell(energy):
+    # the first call on a tuple computes the order: a standalone gap that
+    # does so must give the bytes of a sweep cell that finds it cached
+    rep = build_clifford(3)
+    spec = GridSpec(axes=((-2.0, 2.0, 5),), fixed_coords={1: 0.1, 2: energy})
+    for kind, single in (("quadratic", lambda t, lam: quadratic_gap(t, lam)),
+                         ("clifford",
+                          lambda t, lam: clifford_gap(t, lam, rep))):
+        grid = sweep_grid(chern_half(20), spec, kind, rep=rep)
+        for i in (0, 3):
+            lam = spec.probe(3, (i,)).coords
+            assert single(chern_half(20), lam) == grid.values[i]
+
+
+def test_probe_on_a_lattice_site_gets_its_own_order(monkeypatch):
+    # x and y on a site zero L's in-site entries: a new nonzero pattern
+    t = chern_half(20)
+    rep = build_clifford(3)
+    pencil = localizer_pencil(t, rep)
+    off_site, site = [0.3, -0.2, 0.0], [0.25, -0.25, 0.0]
+    clifford_gap(t, off_site, rep)
+    mu = clifford_gap(t, site, rep)
+    assert len(pencil._plans) == 2
+    ordered, _ = ordered_at(pencil, site)
+    assert ordered.nnz < pencil.at(off_site).nnz
+    ref = np.abs(np.linalg.eigvalsh(direct_l(t, site, rep))).min()
+    assert abs(mu - ref) <= 1e-9
+    # a pencil keeps the most recently used orders only, and a dropped one
+    # is computed again to the same bytes
+    monkeypatch.setattr(composites, "PLANS_PER_PENCIL", 2)
+    sites = [site, [0.75, -0.25, 0.0], [0.25, 0.75, 0.0]]
+    values = [clifford_gap(t, lam, rep) for lam in sites]
+    assert len(pencil._plans) == 2
+    assert [clifford_gap(t, lam, rep) for lam in sites] == values
+    assert values[0] == mu
