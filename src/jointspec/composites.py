@@ -49,8 +49,6 @@ COMMUTE_RTOL = 1e-12
 #: clamp for tiny negative eigenvalues of the positive-semidefinite Q
 NEGATIVE_EIG_TOL = 1e-10
 GAP_KINDS = ("quadratic", "clifford")
-#: orders a sparse pencil keeps, one per nonzero pattern (site probes add some)
-PLANS_PER_PENCIL = 8
 
 _LOG = logging.getLogger("jointspec")
 
@@ -174,12 +172,12 @@ class Pencil:
     coordinate has ``x = 0``: its linear term touches the entries of the
     composite as ``-lam_j g``, and the quadratic composite adds ``lam_j^2``
     on the diagonal.  Every call returns a matrix on fresh values; only the
-    read-only pattern is shared between calls, as are the orders of the
-    nonzero patterns a sparse pencil has solved (``ordered``).
+    read-only pattern is shared between calls, as is a sparse pencil's
+    order of the nonzero pattern it last solved (``ordered``).
     """
 
     __slots__ = ("dim", "fmt", "_base", "_indices", "_indptr", "_terms",
-                 "_plans")
+                 "_plan")
 
     def __init__(self, dim, fmt, base, terms):
         """``fmt`` is "dense" or "csc"; ``base`` is a validated
@@ -210,7 +208,7 @@ class Pencil:
                 self._base[keys.pop()] = vals
         self._terms = [(j, pos, x, g)
                        for (j, _, _, x, g), pos in zip(terms, keys)]
-        self._plans = {}
+        self._plan = (None,)
 
     def _keys(self, rows, cols):
         """Sort keys of entries: row-major offsets for a dense pencil,
@@ -254,20 +252,17 @@ class Pencil:
         if self.fmt == "dense":
             return self.matrix(values), None
         key = np.packbits(values != 0).tobytes()
-        plan = self._plans.get(key)
-        if plan is None:
-            if len(self._plans) == PLANS_PER_PENCIL:
-                self._plans.clear()
-            plan = self._plans[key] = self._plan(values)
-        order, take, indices, indptr = plan
+        if self._plan[0] != key:
+            self._plan = key, *self._order(values)
+        _, order, take, indices, indptr = self._plan
         values[:take.size] = values[take]
         return sp.csc_matrix((values[:take.size], indices, indptr),
                              shape=(self.dim, self.dim)), order
 
-    def _plan(self, values):
+    def _order(self, values):
         """The ``_SYMMETRIC_LU`` order of the nonzero pattern of ``values``,
-        read off an incomplete LU of the pattern (plus a dominant diagonal)
-        that drops all fill, and the gather and CSC pattern of that order."""
+        read off an incomplete LU that drops all fill, with the gather and
+        CSC pattern of that order."""
         n, start = self.dim, time.perf_counter()
         # each entry holds its place in the row, plus 1 (0 marks a zero)
         m = self.matrix(np.where(values != 0, np.arange(1.0, values.size + 1), 0))

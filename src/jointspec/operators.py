@@ -330,14 +330,15 @@ def _shift_invert(ms, sigma, k, accuracy, order):
     or an eigenvalue misses its Rayleigh quotient by more than ``accuracy``,
     scipy's partial-pivoting LU is tried under the same test, and
     NumericalFailure raised if that fails too.  Each factor makes one DEBUG
-    record, which names its ordering.
+    record.  The eigenvectors are returned in the model's order.
     """
     n, dtype = ms.shape[0], np.result_type(ms.dtype, float)
     shifted = ms - sigma * sp.identity(n, format="csc") if sigma else ms
-    factors = [("partial-pivoting", {"permc_spec": "COLAMD"})]
+    factors = [("partial-pivoting factor", {})]
     if np.all(ms.diagonal() != sigma):
-        factors.insert(0, ("symmetric", _SYMMETRIC_LU if order is None
-                           else dict(_SYMMETRIC_LU, permc_spec="NATURAL")))
+        factors.insert(0, ("symmetric factor, MMD_AT_PLUS_A", _SYMMETRIC_LU)
+                       if order is None else ("symmetric factor, pencil order",
+                       dict(_SYMMETRIC_LU, permc_spec="NATURAL")))
     for path, options in factors:
         lu, runs = spla.splu(shifted, **options), []
         while len(runs) < k and (not runs or runs[-1][4]):
@@ -347,25 +348,28 @@ def _shift_invert(ms, sigma, k, accuracy, order):
         theta, vecs, steps, resid, ok = zip(*runs)
         w, v = sigma + 1.0 / np.array(theta), np.column_stack(vecs)
         err = np.abs(w - np.einsum("ij,ij->j", v.conj(), ms @ v).real)
-        _LOG.debug("shift-invert of dim %d at shift %.3g (%s factor, %s): "
-                   "k=%d, %s Lanczos steps, residual estimate %.3g%s", n,
-                   sigma, path, options["permc_spec"].replace(
-                       "NATURAL", "pencil order"), k, "+".join(map(str, steps)),
-                   max(resid), "" if ok[-1] else ", unconverged")
+        _LOG.debug("shift-invert of dim %d at shift %.3g (%s): k=%d, "
+                   "%s Lanczos steps, residual estimate %.3g%s", n, sigma,
+                   path, k, "+".join(map(str, steps)), max(resid),
+                   "" if ok[-1] else ", unconverged")
         if ok[-1] and np.all(err <= accuracy * np.maximum(1.0, np.abs(w))):
+            if order is not None:
+                v[order] = v.copy()
             return w, v
-        _LOG.info("%s factor at shift %.3g (dim %d) %s: |eigenvalue - "
+        _LOG.info("%s at shift %.3g (dim %d) %s: |eigenvalue - "
                   "Rayleigh quotient| = %.3g", path, sigma, n,
                   "inaccurate" if ok[-1] else "gave no convergence", err.max())
     raise NumericalFailure("shift-invert Lanczos did not converge",
                            details={"dim": n, "sigma": sigma})
 
 
-def _dense_nearest_zero(m, k):
-    """LAPACK's k eigenpairs of `m` nearest 0, stably ordered by |w|."""
+def _dense_nearest_zero(m, k, order=None):
+    """LAPACK's k eigenpairs of `m` nearest 0, stably ordered by |w|, with
+    the eigenvectors of `m` in the layout ``order`` put back in A's."""
     w, v = np.linalg.eigh(m.toarray() if sp.issparse(m) else m)
-    order = np.argsort(np.abs(w), kind="stable")[:k]
-    return w[order], v[:, order]
+    pick = np.argsort(np.abs(w), kind="stable")[:k]
+    rows = slice(None) if order is None else np.argsort(order)
+    return w[pick], v[:, pick][rows]
 
 
 def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1,
@@ -381,17 +385,9 @@ def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1,
     ``order``, if given, is `m`'s layout: `m` is ``A[order][:, order]``,
     factored as it is laid out, and the eigenvectors returned are A's.
     """
-    w, v = _nearest_zero(m, accuracy, k, order)
-    if order is not None and v is not None:
-        v[order] = v.copy()
-    return w, v
-
-
-def _nearest_zero(m, accuracy, k, order):
-    """``eigenpair_nearest_zero`` with the eigenvectors in `m`'s layout."""
     n = m.shape[0]
     if solves_densely(n, sp.issparse(m)):
-        return _dense_nearest_zero(m, k)
+        return _dense_nearest_zero(m, k, order)
     ms = m if sp.issparse(m) and m.format == "csc" else sp.csc_matrix(m)
     reason = "singular at both shifts"
     for attempt in range(2):
@@ -415,7 +411,7 @@ def _nearest_zero(m, accuracy, k, order):
         return np.zeros(k), None
     _LOG.warning("shift-invert on dim %d gave no eigenpairs (%s); dense "
                  "eigendecomposition used", n, reason)
-    return _dense_nearest_zero(ms, k)
+    return _dense_nearest_zero(ms, k, order)
 
 
 def smallest_singular_value(a) -> float:
