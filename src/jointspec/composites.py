@@ -39,6 +39,7 @@ from .operators import (
     HermitianOperator,
     StateVector,
     _SYMMETRIC_LU,
+    _check_accuracy,
     _max_abs,
     eigenpair_nearest_zero,
     operator_norm,
@@ -286,21 +287,12 @@ def _coo(m):
     return c.row, c.col, c.data
 
 
-def _block_entries(n, g):
-    """Rows, columns and values of I_n (x) g."""
-    gi, gk = np.nonzero(g)
-    r = g.shape[0]
-    blocks = np.arange(n)[:, None] * r
-    return ((blocks + gi).ravel(), (blocks + gk).ravel(),
-            np.tile(g[gi, gk], n))
-
-
 def _affine_pencil(ops, gammas, fmt) -> Pencil:
     """sum_j (X_j - lam_j) (x) Gamma_j."""
     n = ops[0].dim
     base, shift, lin = None, [], []
     for j, (o, g) in enumerate(zip(ops, gammas)):
-        rows, cols, gv = _block_entries(n, g)
+        rows, cols, gv = _coo(sp.kron(sp.identity(n), g, format="coo"))
         if o.is_diagonal:
             x = np.repeat(o.diagonal().real, np.count_nonzero(g))
             shift.append((j, rows, cols, x, gv))
@@ -382,16 +374,21 @@ class GapResult:
     commutator_bound: Optional[float] = None
 
 
-def _as_probe(lam) -> ProbePoint:
-    return lam if isinstance(lam, ProbePoint) else ProbePoint(np.asarray(lam, float))
+def _probes(t: ObservableTuple, lams) -> np.ndarray:
+    """The probe rule: a (k, d) array of finite coordinates, as floats."""
+    lams = np.asarray(lams, dtype=float)
+    if not np.isfinite(lams).all():
+        raise InvalidOperator("probe coordinates must be finite")
+    if lams.ndim != 2 or lams.shape[1] != t.d_total:
+        raise DimensionMismatch(
+            f"probe has {lams.shape[-1]} coordinates for a {t.d_total}-tuple")
+    return lams
 
 
 def _checked_probe(t: ObservableTuple, lam) -> ProbePoint:
-    lam = _as_probe(lam)
-    if lam.d != t.d_total:
-        raise DimensionMismatch(
-            f"probe has {lam.d} coordinates for a {t.d_total}-tuple")
-    return lam
+    """One probe (a ProbePoint or its coordinates) under ``_probes``."""
+    coords = np.atleast_1d(getattr(lam, "coords", lam))
+    return ProbePoint(_probes(t, coords[None])[0])
 
 
 def tall_composite(t: ObservableTuple, lam) -> np.ndarray:
@@ -484,10 +481,8 @@ def gap_values(t: ObservableTuple, lams, kind: str,
     """
     if kind not in GAP_KINDS:
         raise ParameterOutOfRange(f"kind must be one of {GAP_KINDS}")
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim != 2 or lams.shape[1] != t.d_total:
-        raise DimensionMismatch(
-            f"probe has {lams.shape[-1]} coordinates for a {t.d_total}-tuple")
+    _check_accuracy(accuracy)
+    lams = _probes(t, lams)
     pencil = quadratic_pencil(t) if kind == "quadratic" else \
         localizer_pencil(t, rep or build_clifford(t.d_total))
     dim = pencil.dim
@@ -527,7 +522,7 @@ def gap_values(t: ObservableTuple, lams, kind: str,
 
 
 def _single(t, lam, kind, rep, accuracy) -> float:
-    value = gap_values(t, _as_probe(lam).coords[None], kind, rep, accuracy)[0]
+    value = gap_values(t, [_checked_probe(t, lam).coords], kind, rep, accuracy)[0]
     if isinstance(value, NumericalFailure):
         raise value
     return value
@@ -576,7 +571,7 @@ def commutator_bound_2d(t: ObservableTuple) -> float:
 def gap_pair_with_bound(t: ObservableTuple, lam, rep: CliffordRep,
                         accuracy: float = 1e-9) -> GapResult:
     """Both gaps plus the commutator bound; checks the bound before returning."""
-    lam = _as_probe(lam)
+    lam = _checked_probe(t, lam)
     mu_q = quadratic_gap(t, lam, accuracy)
     mu_c = clifford_gap(t, lam, rep, accuracy)
     bound = commutator_bound(t)
@@ -603,6 +598,7 @@ def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
     the last bits, which solves Q separately.
     """
     lam = _checked_probe(t, lam)
+    _check_accuracy(accuracy)
     pencil = quadratic_pencil(t)
     vals = pencil.values(lam.coords[None])[0]
     m, order = pencil.ordered(vals)

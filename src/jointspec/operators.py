@@ -36,6 +36,8 @@ NORM_RTOL = 1e-12
 NORM_MAX_STEPS = 10000
 #: Lanczos steps (solves) after which shift-invert reports non-convergence
 SHIFT_INVERT_MAX_STEPS = 200
+#: largest accepted solver accuracy (a Chern-20 gap is 1.3e-4 off at 1e-2)
+MAX_ACCURACY = 1e-2
 
 _LOG = logging.getLogger("jointspec")
 
@@ -63,9 +65,14 @@ def _as_matrix(a):
 
 
 def _check_finite(m):
-    data = m.data if sp.issparse(m) else m
-    if not np.all(np.isfinite(np.asarray(data).ravel().view(float) if np.iscomplexobj(data) else data)):
+    if not np.isfinite(m.data if sp.issparse(m) else m).all():
         raise InvalidOperator("matrix has non-finite entries")
+
+
+def _check_accuracy(accuracy):
+    if not 0.0 < accuracy <= MAX_ACCURACY:
+        raise ParameterOutOfRange(
+            f"accuracy must lie in (0, {MAX_ACCURACY:g}], got {accuracy!r}")
 
 
 def _max_abs(m) -> float:
@@ -164,7 +171,7 @@ class StateVector:
         v = np.array(entries, dtype=complex).ravel()
         if v.size < 1:
             raise InvalidOperator("empty state vector")
-        if not np.all(np.isfinite(v.view(float))):
+        if not np.isfinite(v).all():
             raise InvalidOperator("state vector has non-finite entries")
         nrm = float(np.linalg.norm(v))
         if normalize:
@@ -384,7 +391,9 @@ def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1,
 
     ``order``, if given, is `m`'s layout: `m` is ``A[order][:, order]``,
     factored as it is laid out, and the eigenvectors returned are A's.
+    An ``accuracy`` outside (0, ``MAX_ACCURACY``] is refused.
     """
+    _check_accuracy(accuracy)
     n = m.shape[0]
     if solves_densely(n, sp.issparse(m)):
         return _dense_nearest_zero(m, k, order)

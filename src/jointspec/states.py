@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import operators
-from .composites import (ObservableTuple, ProbePoint, _as_probe,
+from .composites import (ObservableTuple, ProbePoint, _checked_probe,
                          minimizing_state)
 from .errors import NumericalFailure
 from .models import ScaledTuple, write_json
@@ -77,9 +77,7 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 
 def _site_marginal(v: np.ndarray, orbitals: int) -> np.ndarray:
-    p = np.abs(v) ** 2
-    if orbitals > 1:
-        p = p.reshape(-1, orbitals).sum(axis=1)
+    p = (np.abs(v) ** 2).reshape(-1, orbitals).sum(axis=1)
     if abs(p.sum() - 1.0) > MARGINAL_TOL:
         raise NumericalFailure("site probabilities do not sum to 1",
                                details={"sum": float(p.sum())})
@@ -110,12 +108,11 @@ def extract_state(t, lam, accuracy: float = 1e-9) -> LocalizedStateReport:
     Expectations and variances of the positions are reported in unscaled
     units.
     """
-    lam = _as_probe(lam)
+    base = t.base if isinstance(t, ScaledTuple) else t
+    lam = _checked_probe(base, lam)
+    kappa, scaled, lam_scaled = 1.0, t, lam.coords
     if isinstance(t, ScaledTuple):
-        kappa, base, scaled = t.kappa, t.base, t.build()
-        lam_scaled = t.scale_probe(lam.coords)
-    else:
-        kappa, base, scaled, lam_scaled = 1.0, t, t, lam.coords
+        kappa, scaled, lam_scaled = t.kappa, t.build(), t.scale_probe(lam.coords)
     h = base.hamiltonian
     state, degenerate, mu = minimizing_state(scaled, lam_scaled,
                                              accuracy=accuracy)

@@ -20,8 +20,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .clifford import CliffordRep, build_clifford
-from .composites import (ObservableTuple, ProbePoint, _as_probe, gap_values,
-                         localizer, quadratic_operator, reduced_localizer)
+from .composites import (ObservableTuple, ProbePoint, _checked_probe,
+                         gap_values, localizer, quadratic_operator,
+                         reduced_localizer, shifted_observables)
 from .errors import (ChiralSymmetryViolation, DimensionMismatch,
                      NumericalFailure, ParameterOutOfRange)
 from .models import ssh_grading, write_csv, write_json
@@ -75,8 +76,8 @@ class GridSpec:
         for lo, hi, count in axes:
             if count < 2:
                 raise ParameterOutOfRange("each swept axis needs count >= 2")
-            if not lo < hi:
-                raise ParameterOutOfRange(f"axis range [{lo}, {hi}] is empty")
+            if not -math.inf < lo < hi < math.inf:
+                raise ParameterOutOfRange(f"axis [{lo}, {hi}] is not a finite range")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "fixed_coords",
                            {int(k): float(v) for k, v in self.fixed_coords.items()})
@@ -91,10 +92,10 @@ class GridSpec:
 
     def swept_indices(self, d_total: int) -> tuple:
         swept = tuple(j for j in range(d_total) if j not in self.fixed_coords)
-        if len(swept) != len(self.axes):
+        if not len(swept) == len(self.axes) == d_total - len(self.fixed_coords):
             raise DimensionMismatch(
-                f"{len(self.axes)} swept axes + {len(self.fixed_coords)} fixed "
-                f"coordinates do not cover a {d_total}-tuple")
+                f"{len(self.axes)} swept axes and the fixed coordinates "
+                f"{sorted(self.fixed_coords)} do not index a {d_total}-tuple")
         return swept
 
     def probe(self, d_total: int, index: tuple) -> ProbePoint:
@@ -280,8 +281,7 @@ def epsilon_mask(grid: GapGrid, epsilon: float) -> np.ndarray:
     """Boolean mask of the epsilon-sublevel set; skipped/failed cells are False."""
     if epsilon < 0:
         raise ParameterOutOfRange("epsilon must be >= 0")
-    return ((grid.values <= epsilon) & ~grid.skipped_mask
-            & np.isfinite(grid.values))
+    return (grid.values <= epsilon) & ~grid.skipped_mask
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +318,10 @@ def spectral_flow(path: Callable[[float], ObservableTuple], lam,
             if model.d_total != 2:
                 raise ChiralSymmetryViolation(
                     "reduced localizer needs a two-observable chiral model")
-            lam_arr = _as_probe(lam).coords
-            x, h = model.ops
-            if lam_arr.size > 1 and lam_arr[1] != 0.0:
-                h = HermitianOperator(h.dense() - lam_arr[1] * np.eye(h.dim))
+            lam_x, lam_e = _checked_probe(model, lam).coords
+            x, h = shifted_observables(model, [0.0, lam_e])
             g = grading if grading is not None else ssh_grading(model.dim)
-            red = reduced_localizer(x, h, float(lam_arr[0]), g)
+            red = reduced_localizer(x, h, float(lam_x), g)
             eigs = np.linalg.eigvals(red)
             scale = max(1.0, float(np.abs(eigs).max()))
             if float(np.abs(eigs.imag).max()) > 1e-9 * scale:
