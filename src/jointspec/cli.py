@@ -205,11 +205,7 @@ def _resolve_model(args) -> LatticeModelSpec:
 
 
 def _built_tuple(args):
-    t = _resolve_model(args).build()
-    kappa = getattr(args, "kappa", 1.0)
-    if kappa != 1.0:
-        t = scale_positions(t, kappa)
-    return t
+    return scale_positions(_resolve_model(args).build(), args.kappa)
 
 
 def _cmd_gap(args) -> int:

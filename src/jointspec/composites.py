@@ -380,8 +380,8 @@ def _probes(t: ObservableTuple, lams) -> np.ndarray:
     if not np.isfinite(lams).all():
         raise InvalidOperator("probe coordinates must be finite")
     if lams.ndim != 2 or lams.shape[1] != t.d_total:
-        raise DimensionMismatch(
-            f"probe has {lams.shape[-1]} coordinates for a {t.d_total}-tuple")
+        raise DimensionMismatch(f"probe has {lams.shape[-1] if lams.ndim else 1} "
+                                f"coordinates for a {t.d_total}-tuple")
     return lams
 
 

@@ -80,42 +80,20 @@ def ssh_grading(n_sites: int) -> HermitianOperator:
 # small example pairs
 
 
-def _pair_3x3() -> ObservableTuple:
-    x = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
-    y = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
-    return ObservableTuple([x, y], commuting_prefix=1,
-                           meta={"kind": "pair_3x3", "axis_names": ("x", "y")})
-
-
-def _pair_4x4() -> ObservableTuple:
-    x = np.diag([-2.0, 2.0, 0.0, 1.0]).astype(complex)
-    y = np.array([[0, 1j, 0, 0],
-                  [-1j, 0, 1j, 0],
-                  [0, -1j, 0, 1j],
-                  [0, 0, -1j, 0]], dtype=complex)
-    return ObservableTuple([x, y], commuting_prefix=1,
-                           meta={"kind": "pair_4x4", "axis_names": ("x", "y")})
-
-
-def _class_d_7() -> ObservableTuple:
-    # seven equally spaced sites spanning [-3.5, 3.5]
-    x = np.diag(np.linspace(-3.5, 3.5, 7)).astype(complex)
-    hop = np.array([1.4, 0.7, 0.7, 1.4, 0.7, 1.4]) * 1j
-    h = np.diag(hop, 1) + np.diag(hop.conj(), -1)
-    return ObservableTuple([x, h], commuting_prefix=1,
-                           meta={"kind": "class_d_7", "axis_names": ("x", "E")})
-
-
-def _pauli_pair() -> ObservableTuple:
-    return ObservableTuple([PAULI_X, PAULI_Y], commuting_prefix=1,
-                           meta={"kind": "pauli_pair", "axis_names": ("x", "y")})
-
-
+_HOP_7 = np.array([1.4, 0.7, 0.7, 1.4, 0.7, 1.4]) * 1j
+#: name -> (position X, second observable, its axis name)
 _EXAMPLES = {
-    "pauli_pair": _pauli_pair,
-    "pair_3x3": _pair_3x3,
-    "pair_4x4": _pair_4x4,
-    "class_d_7": _class_d_7,
+    "pauli_pair": (PAULI_X, PAULI_Y, "y"),
+    "pair_3x3": (np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex),
+                 np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex), "y"),
+    "pair_4x4": (np.diag([-2.0, 2.0, 0.0, 1.0]).astype(complex),
+                 np.array([[0, 1j, 0, 0],
+                           [-1j, 0, 1j, 0],
+                           [0, -1j, 0, 1j],
+                           [0, 0, -1j, 0]], dtype=complex), "y"),
+    # seven equally spaced sites spanning [-3.5, 3.5], imaginary hoppings
+    "class_d_7": (np.diag(np.linspace(-3.5, 3.5, 7)).astype(complex),
+                  np.diag(_HOP_7, 1) + np.diag(_HOP_7.conj(), -1), "E"),
 }
 
 EXAMPLE_NAMES = tuple(_EXAMPLES)
@@ -124,10 +102,12 @@ EXAMPLE_NAMES = tuple(_EXAMPLES)
 def build_example(name: str) -> ObservableTuple:
     """One of the built-in small pairs: pauli_pair, pair_3x3, pair_4x4, class_d_7."""
     try:
-        return _EXAMPLES[name]()
+        x, y, axis = _EXAMPLES[name]
     except KeyError:
         raise ModelConfigError(
             f"unknown example {name!r}; choose from {', '.join(_EXAMPLES)}") from None
+    return ObservableTuple([x, y], commuting_prefix=1,
+                           meta={"kind": name, "axis_names": ("x", axis)})
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +172,10 @@ class ScaledTuple:
                 f"kappa must be positive and finite, got {self.kappa!r}")
 
     def build(self) -> ObservableTuple:
+        """The scaled tuple; at kappa = 1, the base tuple and its pencils."""
         t = self.base
+        if self.kappa == 1.0:
+            return t
         ops = [HermitianOperator(self.kappa * o.mat) for o in t.positions]
         return ObservableTuple(ops + [t.hamiltonian],
                                commuting_prefix=t.commuting_prefix, meta=t.meta)
@@ -270,11 +253,9 @@ class LatticeModelSpec:
 
     @classmethod
     def from_text(cls, text: str) -> "LatticeModelSpec":
-        """Parse a plain key=value config (one pair per line, # comments)."""
-        kind = None
-        params = {}
-        files = []
-        prefix = 1
+        """Parse a plain key=value config (one pair per line, # comments) into
+        the document ``from_json`` reads, one ``matrix_file`` line per file."""
+        doc = {"parameters": {}}
         for ln, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -282,19 +263,13 @@ class LatticeModelSpec:
             if "=" not in line:
                 raise ModelConfigError(f"line {ln}: expected key=value, got {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key == "kind":
-                kind = val
-            elif key == "matrix_file":
-                files.append(val)
-            elif key == "commuting_prefix":
-                prefix = int(val)
+            if key == "matrix_file":
+                doc.setdefault("matrix_files", []).append(val)
+            elif key in ("kind", "commuting_prefix"):
+                doc[key] = val
             else:
-                params[key] = val
-        if kind is None:
-            raise ModelConfigError("config is missing a 'kind' entry")
-        matrices = [read_matrix_file(f) for f in files] or None
-        return cls(kind=kind, parameters=params, explicit_matrices=matrices,
-                   commuting_prefix=prefix)
+                doc["parameters"][key] = val
+        return cls._from_doc(doc)
 
     @classmethod
     def from_json(cls, text: str) -> "LatticeModelSpec":
@@ -302,13 +277,24 @@ class LatticeModelSpec:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ModelConfigError(f"bad JSON model config: {exc}") from exc
+        return cls._from_doc(doc)
+
+    @classmethod
+    def _from_doc(cls, doc: dict) -> "LatticeModelSpec":
+        """The spec of a config document, with its matrix files read.  Only
+        an explicit model takes ``matrix_files`` or ``commuting_prefix``."""
         extra = set(doc) - {"kind", "parameters", "matrix_files",
                             "commuting_prefix"}
         if extra:
             raise ModelConfigError(f"unexpected JSON config keys: {sorted(extra)}")
+        if "kind" not in doc:
+            raise ModelConfigError("config is missing a 'kind' entry")
+        explicit_only = sorted({"matrix_files", "commuting_prefix"} & set(doc))
+        if explicit_only and doc["kind"] != "explicit":
+            raise ModelConfigError(
+                f"{explicit_only} apply to explicit models only, not {doc['kind']!r}")
         matrices = [read_matrix_file(f) for f in doc.get("matrix_files", [])] or None
-        return cls(kind=doc.get("kind", ""),
-                   parameters=doc.get("parameters", {}),
+        return cls(kind=doc["kind"], parameters=doc.get("parameters", {}),
                    explicit_matrices=matrices,
                    commuting_prefix=int(doc.get("commuting_prefix", 1)))
 

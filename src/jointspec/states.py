@@ -104,18 +104,15 @@ def extract_state(t, lam, accuracy: float = 1e-9) -> LocalizedStateReport:
     """Minimizing state of the quadratic composite, with marginals.
 
     ``t`` is a ScaledTuple (probe given in unscaled position units) or a plain
-    ObservableTuple; either holds positions followed by one Hamiltonian.
+    ObservableTuple, read at kappa = 1; either holds positions, then one H.
     Expectations and variances of the positions are reported in unscaled
     units.
     """
-    base = t.base if isinstance(t, ScaledTuple) else t
-    lam = _checked_probe(base, lam)
-    kappa, scaled, lam_scaled = 1.0, t, lam.coords
-    if isinstance(t, ScaledTuple):
-        kappa, scaled, lam_scaled = t.kappa, t.build(), t.scale_probe(lam.coords)
+    t = t if isinstance(t, ScaledTuple) else ScaledTuple(t, 1.0)
+    base, lam = t.base, _checked_probe(t.base, lam)
     h = base.hamiltonian
-    state, degenerate, mu = minimizing_state(scaled, lam_scaled,
-                                             accuracy=accuracy)
+    state, degenerate, mu = minimizing_state(
+        t.build(), t.scale_probe(lam.coords), accuracy=accuracy)
     v = _fix_phase(state.vec)
     state = StateVector(v, normalize=True)
 
@@ -128,7 +125,7 @@ def extract_state(t, lam, accuracy: float = 1e-9) -> LocalizedStateReport:
     weights, exact = _energy_weights(h, v)
     shape = base.meta.get("shape")
     return LocalizedStateReport(
-        lam=lam, kappa=kappa, state=state,
+        lam=lam, kappa=t.kappa, state=state,
         site_probabilities=_site_marginal(v, orbitals),
         energy_weights=weights,
         position_expectations=pos_exp, position_variances=pos_var,

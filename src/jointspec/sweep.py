@@ -123,6 +123,7 @@ class GapGrid:
     skipped_mask: np.ndarray
     axis_names: tuple = ()
     failures: list = field(default_factory=list)
+    pruning: Optional[float] = None  # the sweep's pruning threshold, if any
 
     @property
     def partial(self) -> bool:
@@ -254,7 +255,7 @@ def sweep_grid(t: ObservableTuple, spec: GridSpec, kind: str,
             evaluate([row + (j,) for j in range(shape[-1])])
     else:
         eps = float(pruning)
-        if eps < 0:
+        if not eps >= 0:
             raise ParameterOutOfRange("pruning threshold must be >= 0")
         steps = [(hi - lo) / (c - 1) for lo, hi, c in spec.axes]
         # lower bounds on the true cell values, exact where evaluated
@@ -274,13 +275,19 @@ def sweep_grid(t: ObservableTuple, spec: GridSpec, kind: str,
     failures.sort(key=lambda f: f["index"])
     return GapGrid(spec=spec, values=values, kind=kind,
                    model_fingerprint=fingerprint, skipped_mask=skipped,
-                   axis_names=axis_names, failures=failures)
+                   axis_names=axis_names, failures=failures, pruning=pruning)
 
 
 def epsilon_mask(grid: GapGrid, epsilon: float) -> np.ndarray:
-    """Boolean mask of the epsilon-sublevel set; skipped/failed cells are False."""
-    if epsilon < 0:
+    """Boolean mask of the epsilon-sublevel set; skipped/failed cells are False.
+
+    A skipped cell is only proven above the pruning threshold, so an epsilon
+    above that threshold is refused."""
+    if not epsilon >= 0:
         raise ParameterOutOfRange("epsilon must be >= 0")
+    if grid.pruning is not None and epsilon > grid.pruning:
+        raise ParameterOutOfRange(
+            f"epsilon {epsilon:g} exceeds the pruning threshold {grid.pruning:g}")
     return (grid.values <= epsilon) & ~grid.skipped_mask
 
 

@@ -173,7 +173,7 @@ def compress_to_ball(t: ObservableTuple, rho: float):
     its own storage; requires the position block to be diagonal so the ball
     is a coordinate subspace.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ParameterOutOfRange("rho must be positive")
     z = _diagonal_distances(t)
     keep = np.flatnonzero(z <= rho)
