@@ -173,12 +173,12 @@ class Pencil:
     coordinate has ``x = 0``: its linear term touches the entries of the
     composite as ``-lam_j g``, and the quadratic composite adds ``lam_j^2``
     on the diagonal.  Every call returns a matrix on fresh values; only the
-    read-only pattern is shared between calls, as is a sparse pencil's
-    order of the nonzero pattern it last solved (``ordered``).
+    read-only pattern is shared between calls, as are a sparse pencil's
+    fill-reducing orders, one per set of terms a probe zeroes (``ordered``).
     """
 
     __slots__ = ("dim", "fmt", "_base", "_indices", "_indptr", "_terms",
-                 "_plan")
+                 "_orders", "_mortal")
 
     def __init__(self, dim, fmt, base, terms):
         """``fmt`` is "dense" or "csc"; ``base`` is a validated
@@ -209,7 +209,9 @@ class Pencil:
                 self._base[keys.pop()] = vals
         self._terms = [(j, pos, x, g)
                        for (j, _, _, x, g), pos in zip(terms, keys)]
-        self._plan = (None,)
+        self._mortal = frozenset(j for j, pos, x, _ in self._terms
+                                 if np.ndim(x) == 0 and not self._base[pos].all())
+        self._orders = {}
 
     def _keys(self, rows, cols):
         """Sort keys of entries: row-major offsets for a dense pencil,
@@ -230,43 +232,42 @@ class Pencil:
 
     def matrix(self, values):
         """The composite for one row of ``values``, which a sparse matrix
-        takes over: it leaves out every exact zero (a coordinate at 0 drops
-        its terms), since stored zeros would enlarge the factorization."""
+        takes over, zeros included."""
         n = self.dim
         if self.fmt == "dense":
             return values.reshape(n, n)
-        m = sp.csc_matrix((values, self._indices, self._indptr), shape=(n, n))
-        if not values.all():
-            m.indices, m.indptr = m.indices.copy(), m.indptr.copy()
-            m.eliminate_zeros()
-        return m
+        return sp.csc_matrix((values, self._indices, self._indptr), shape=(n, n))
 
     def at(self, lam):
         """The composite at one probe."""
         return self.matrix(self.values(np.atleast_2d(lam))[0])
 
-    def ordered(self, values):
-        """The composite for one row of ``values`` as the solvers take it,
-        and its layout ``order`` (entry (i, j) is the model's (order[i],
-        order[j])): a sparse one, which takes over the row, in the
-        fill-reducing order of its nonzero pattern; a dense one with None."""
+    def ordered(self, lam):
+        """The composite at one probe as the solvers take it, and its layout
+        ``order`` (entry (i, j) is the model's (order[i], order[j])): a dense
+        one with None; a sparse one in the order of its pattern less the terms
+        with ``x = 0`` at ``lam_j = 0`` that hold entries the base lacks."""
+        values = self.values(np.atleast_2d(lam))[0]
         if self.fmt == "dense":
             return self.matrix(values), None
-        key = np.packbits(values != 0).tobytes()
-        if self._plan[0] != key:
-            self._plan = key, *self._order(values)
-        _, order, take, indices, indptr = self._plan
-        values[:take.size] = values[take]
-        return sp.csc_matrix((values[:take.size], indices, indptr),
+        dead = frozenset(j for j in self._mortal if lam[j] == 0)
+        if dead not in self._orders:
+            self._orders[dead] = self._order(dead)
+        order, take, indices, indptr = self._orders[dead]
+        return sp.csc_matrix((values[take], indices, indptr),
                              shape=(self.dim, self.dim)), order
 
-    def _order(self, values):
-        """The ``_SYMMETRIC_LU`` order of the nonzero pattern of ``values``,
-        read off an incomplete LU that drops all fill, with the gather and
-        CSC pattern of that order."""
+    def _order(self, dead):
+        """The ``_SYMMETRIC_LU`` order of the base's entries and the terms of
+        the coordinates not in ``dead``, read off an incomplete LU that drops
+        all fill, with the gather and CSC pattern of that order."""
         n, start = self.dim, time.perf_counter()
-        # each entry holds its place in the row, plus 1 (0 marks a zero)
-        m = self.matrix(np.where(values != 0, np.arange(1.0, values.size + 1), 0))
+        live = self._base != 0
+        for j, pos, _, _ in self._terms:
+            live[pos] |= j not in dead
+        # each entry holds its place in the pattern, plus 1 (0 marks a dead one)
+        m = self.matrix(np.where(live, np.arange(1.0, live.size + 1), 0)).copy()
+        m.eliminate_zeros()
         order = np.argsort(spla.spilu(
             m.sign() + n * sp.identity(n, format="csc"), drop_tol=1.0,
             fill_factor=1.0, **_SYMMETRIC_LU).perm_c)
@@ -379,8 +380,11 @@ def _probes(t: ObservableTuple, lams) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
     if not np.isfinite(lams).all():
         raise InvalidOperator("probe coordinates must be finite")
-    if lams.ndim != 2 or lams.shape[1] != t.d_total:
-        raise DimensionMismatch(f"probe has {lams.shape[-1] if lams.ndim else 1} "
+    if lams.ndim not in (0, 2):
+        raise DimensionMismatch(f"a batch of probes needs shape (k, {t.d_total}), "
+                                f"got {lams.shape}")
+    if lams.ndim == 0 or lams.shape[1] != t.d_total:
+        raise DimensionMismatch(f"probe has {lams.shape[1] if lams.ndim else 1} "
                                 f"coordinates for a {t.d_total}-tuple")
     return lams
 
@@ -388,6 +392,9 @@ def _probes(t: ObservableTuple, lams) -> np.ndarray:
 def _checked_probe(t: ObservableTuple, lam) -> ProbePoint:
     """One probe (a ProbePoint or its coordinates) under ``_probes``."""
     coords = np.atleast_1d(getattr(lam, "coords", lam))
+    if coords.ndim > 1 and np.isfinite(np.asarray(coords, dtype=float)).all():
+        raise DimensionMismatch(f"probe has {coords.shape[-1]} coordinates "
+                                f"for a {t.d_total}-tuple")
     return ProbePoint(_probes(t, coords[None])[0])
 
 
@@ -493,7 +500,7 @@ def gap_values(t: ObservableTuple, lams, kind: str,
         v = None
         try:
             if w is None:
-                m, order = pencil.ordered(row)
+                m, order = pencil.ordered(lam)
                 w, v = eigenpair_nearest_zero(m, accuracy, order=order)
                 w, v = float(w[0]), None if v is None else v[:, 0]
             elif np.isnan(w):
@@ -505,7 +512,7 @@ def gap_values(t: ObservableTuple, lams, kind: str,
             return exc
 
     if pencil.fmt != "dense":
-        return [value(lam, pencil.values(lam[None])[0], None) for lam in lams]
+        return [value(lam, None, None) for lam in lams]
     chunk = max(1, STACK_BYTES // (4 * 16 * dim * dim))
     out = []
     for lo in range(0, len(lams), chunk):
@@ -600,8 +607,7 @@ def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
     lam = _checked_probe(t, lam)
     _check_accuracy(accuracy)
     pencil = quadratic_pencil(t)
-    vals = pencil.values(lam.coords[None])[0]
-    m, order = pencil.ordered(vals)
+    m, order = pencil.ordered(lam.coords)
     w, v = eigenpair_nearest_zero(m, accuracy, k=2, order=order)
     if v is None:
         raise NumericalFailure("Q is singular: minimizing state not "
@@ -612,7 +618,7 @@ def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
     if resid > 1e-8 * _q_scale(t, lam.coords):
         raise NumericalFailure(f"minimizing state residual {resid:.3e} too large")
     degenerate = len(w) > 1 and abs(w[1] - w[0]) <= DEGENERACY_TOL * max(1.0, abs(w[0]))
-    mu = _quadratic_value(t, pencil, lam.coords, float(w[0]), vals, vec)
+    mu = _quadratic_value(t, pencil, lam.coords, float(w[0]), None, vec)
     return StateVector(vec, normalize=True), bool(degenerate), mu
 
 

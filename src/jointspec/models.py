@@ -283,20 +283,36 @@ class LatticeModelSpec:
     def _from_doc(cls, doc: dict) -> "LatticeModelSpec":
         """The spec of a config document, with its matrix files read.  Only
         an explicit model takes ``matrix_files`` or ``commuting_prefix``."""
+        if not isinstance(doc, dict):
+            raise ModelConfigError(f"config must be an object, got {doc!r}")
         extra = set(doc) - {"kind", "parameters", "matrix_files",
                             "commuting_prefix"}
         if extra:
             raise ModelConfigError(f"unexpected JSON config keys: {sorted(extra)}")
         if "kind" not in doc:
             raise ModelConfigError("config is missing a 'kind' entry")
+        if not isinstance(doc["kind"], str):
+            raise ModelConfigError(f"'kind' must be a string, got {doc['kind']!r}")
+        if not isinstance(doc.get("parameters", {}), dict):
+            raise ModelConfigError(
+                f"'parameters' must be an object, got {doc['parameters']!r}")
+        files = doc.get("matrix_files", [])
+        if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+            raise ModelConfigError(
+                f"'matrix_files' must be a list of file names, got {files!r}")
         explicit_only = sorted({"matrix_files", "commuting_prefix"} & set(doc))
         if explicit_only and doc["kind"] != "explicit":
             raise ModelConfigError(
                 f"{explicit_only} apply to explicit models only, not {doc['kind']!r}")
-        matrices = [read_matrix_file(f) for f in doc.get("matrix_files", [])] or None
+        prefix = doc.get("commuting_prefix", 1)
+        if isinstance(prefix, str) and prefix.isdecimal():  # from a text config
+            prefix = int(prefix)
+        if not isinstance(prefix, int) or isinstance(prefix, bool):
+            raise ModelConfigError(
+                f"'commuting_prefix' must be an integer, got {prefix!r}")
+        matrices = [read_matrix_file(f) for f in files] or None
         return cls(kind=doc["kind"], parameters=doc.get("parameters", {}),
-                   explicit_matrices=matrices,
-                   commuting_prefix=int(doc.get("commuting_prefix", 1)))
+                   explicit_matrices=matrices, commuting_prefix=prefix)
 
 
 # ---------------------------------------------------------------------------

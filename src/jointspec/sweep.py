@@ -310,6 +310,9 @@ def spectral_flow(path: Callable[[float], ObservableTuple], lam,
     if operator_kind not in FLOW_KINDS:
         raise ParameterOutOfRange(f"operator_kind must be one of {FLOW_KINDS}")
     ts = np.atleast_1d(np.asarray(t_samples, dtype=float))
+    if not ts.size:
+        raise ParameterOutOfRange("t_samples is empty: a flow needs at least "
+                                  "one path sample")
     spectra = []
     for tv in ts:
         model = path(float(tv))

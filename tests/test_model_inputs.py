@@ -127,6 +127,38 @@ def test_a_json_config_without_a_kind_is_refused():
         LatticeModelSpec.from_json(json.dumps({"parameters": {"v": 0.7}}))
 
 
+#: config documents of the wrong shape, with the word each refusal names
+WRONG_SHAPES = [
+    (5, "object"),
+    (None, "object"),
+    ({"kind": ["ssh"]}, "'kind'"),
+    ({"kind": "ssh", "parameters": 5}, "'parameters'"),
+    ({"kind": "ssh", "parameters": "v"}, "'parameters'"),
+    ({"kind": "explicit", "matrix_files": 5}, "'matrix_files'"),
+    ({"kind": "explicit", "matrix_files": [5]}, "'matrix_files'"),
+    ({"kind": "explicit", "commuting_prefix": None}, "'commuting_prefix'"),
+    ({"kind": "explicit", "commuting_prefix": [1]}, "'commuting_prefix'"),
+    ({"kind": "explicit", "commuting_prefix": 1.7}, "'commuting_prefix'"),
+    ({"kind": "explicit", "commuting_prefix": True}, "'commuting_prefix'"),
+]
+
+
+@pytest.mark.parametrize("doc,word", WRONG_SHAPES)
+def test_a_config_of_the_wrong_shape_is_refused(capsys, tmp_path, doc, word):
+    with pytest.raises(ModelConfigError, match=word):
+        LatticeModelSpec.from_json(json.dumps(doc))
+    cfg = tmp_path / "n.json"
+    cfg.write_text(json.dumps(doc))
+    code, err = run(capsys, "gap", "--model-config", str(cfg), "--lambda", "1,0")
+    assert code == 2
+    assert word in err
+
+
+def test_a_text_config_with_a_non_integer_prefix_is_refused():
+    with pytest.raises(ModelConfigError, match="'commuting_prefix'"):
+        LatticeModelSpec.from_text("kind = explicit\ncommuting_prefix = 1.7\n")
+
+
 # ---------------------------------------------------------------------------
 # kappa = 1 is the base tuple
 

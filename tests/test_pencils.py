@@ -10,9 +10,9 @@ import scipy.sparse as sp
 import jointspec.composites as composites
 import jointspec.operators as operators
 from jointspec.clifford import build_clifford
-from jointspec.composites import (ObservableTuple, clifford_gap,
-                                  localizer_pencil, quadratic_gap,
-                                  quadratic_pencil)
+from jointspec.composites import (ObservableTuple, Pencil, clifford_gap,
+                                  localizer, localizer_pencil, quadratic_gap,
+                                  quadratic_operator, quadratic_pencil)
 from jointspec.errors import NumericalFailure
 from jointspec.models import (build_chern2d, build_example, build_ssh,
                               scale_positions)
@@ -157,13 +157,19 @@ def test_sweep_across_zero_builds_each_pencil_once(monkeypatch):
 
 
 def test_sparse_composite_stores_no_zero():
+    # E = 0 zeroes H's linear Q terms: neither the public operator nor the
+    # composite the solvers take stores them
     t = chern_half(20)
     rep = build_clifford(3)
-    q = quadratic_pencil(t).at([0.3, -0.2, 0.0])
-    assert q.nnz == 9760 and np.all(q.data != 0)
-    # x and y on a lattice site zero L's in-site entries as well
+    lam = [0.3, -0.2, 0.0]
+    q = quadratic_operator(t, lam).mat
+    ordered, _ = quadratic_pencil(t).ordered(lam)
+    assert q.nnz == ordered.nnz == 9760 < quadratic_pencil(t).at(lam).nnz
+    assert np.all(q.data != 0) and np.all(ordered.data != 0)
+    # x and y on a lattice site zero L's in-site entries as well; the public
+    # operator leaves them out
     site = [0.25, -0.25, 0.0]
-    ell = localizer_pencil(t, rep).at(site)
+    ell = localizer(t, site, rep).mat
     assert np.all(ell.data != 0)
     np.testing.assert_array_equal(ell.toarray(), direct_l(t, site, rep))
 
@@ -603,11 +609,6 @@ SYMMETRIC_FACTOR = {"diag_pivot_thresh": 0.0,
                     "options": {"SymmetricMode": True}}
 
 
-def ordered_at(pencil, lam):
-    """The pencil's composite at lam as the solvers take it, and its order."""
-    return pencil.ordered(pencil.values(np.atleast_2d(lam))[0])
-
-
 def fill(m, permc_spec):
     import scipy.sparse.linalg as spla
 
@@ -623,8 +624,10 @@ def test_ordered_solve_equals_the_mmd_solve(nx, kind, energy):
         localizer_pencil(t, build_clifford(3))
     assert pencil.fmt == "csc"
     lam = [0.3, -0.2, energy]
-    m = pencil.at(lam)
-    ordered, order = ordered_at(pencil, lam)
+    # the composite without the terms a coordinate at 0 zeroes
+    m = (quadratic_operator(t, lam) if kind == "Q" else
+         localizer(t, lam, build_clifford(3))).mat.tocsc()
+    ordered, order = pencil.ordered(lam)
     assert sorted(order) == list(range(pencil.dim))
     np.testing.assert_array_equal(
         ordered.toarray(), m.toarray()[np.ix_(order, order)])
@@ -657,7 +660,7 @@ def test_ordered_eigenvectors_on_the_factor_paths(caplog):
     cases = [(pencil, [0.3, -0.2, 0.0], "symmetric factor, pencil order"),
              (pencil, [0.0, 0.0, 2.0], "partial-pivoting factor")]
     for p, lam, path in cases:
-        ordered, order = ordered_at(p, lam)
+        ordered, order = p.ordered(lam)
         with caplog.at_level(logging.DEBUG, logger="jointspec"):
             w, v = eigenpair_nearest_zero(ordered, k=2, order=order)
         assert any(path in r.getMessage() for r in caplog.records)
@@ -727,25 +730,58 @@ def test_standalone_on_a_fresh_tuple_equals_sweep_cell(energy):
             assert single(chern_half(20), lam) == grid.values[i]
 
 
-def test_probe_on_a_lattice_site_gets_its_own_order():
-    # x and y on a site zero L's in-site entries: a new nonzero pattern
+def test_probe_on_a_lattice_site_shares_the_off_site_order():
+    # x and y on a site zero L's in-site entries, but no term drops out:
+    # the zeros stay stored and the off-site order serves
     t = chern_half(20)
     rep = build_clifford(3)
     pencil = localizer_pencil(t, rep)
     off_site, site = [0.3, -0.2, 0.0], [0.25, -0.25, 0.0]
     first = clifford_gap(t, off_site, rep)
-    kept = pencil._plan
     mu = clifford_gap(t, site, rep)
-    assert pencil._plan[0] != kept[0]
-    ordered, _ = ordered_at(pencil, site)
-    assert ordered.nnz < pencil.at(off_site).nnz
+    ordered, order = pencil.ordered(site)
+    assert order is pencil.ordered(off_site)[1] and len(pencil._orders) == 1
+    assert np.count_nonzero(ordered.data == 0) == 4
+    # no more fill than the order of the pattern without the zeros
+    assert fill(ordered, "NATURAL") <= fill(localizer(t, site, rep).mat.tocsc(),
+                                            "MMD_AT_PLUS_A")
     ref = np.abs(np.linalg.eigvalsh(direct_l(t, site, rep))).min()
-    assert abs(mu - ref) <= 1e-9
-    # a pencil keeps the order of the last pattern it solved; going back to
-    # an earlier pattern computes its order again, to the same bytes
+    assert abs(mu - ref) <= 1e-9 * ref
     assert clifford_gap(t, off_site, rep) == first
-    assert all(np.array_equal(a, b) for a, b in zip(pencil._plan, kept))
     sites = [site, [0.75, -0.25, 0.0], [0.25, 0.75, 0.0]]
     values = [clifford_gap(t, lam, rep) for lam in sites]
     assert [clifford_gap(t, lam, rep) for lam in sites] == values
     assert values[0] == mu
+
+
+@pytest.fixture
+def order_calls(monkeypatch):
+    calls = []
+    order = Pencil._order
+
+    def spy(self, dead):
+        calls.append((self.dim, sorted(dead)))
+        return order(self, dead)
+
+    monkeypatch.setattr(Pencil, "_order", spy)
+    return calls
+
+
+def test_one_order_per_term_set(order_calls):
+    t = chern_half(20)
+    rep = build_clifford(3)
+    # L over a grid of lattice sites at E = 0, then off the sites and at
+    # E != 0: H's diagonal holds every entry of L's E term, so that term
+    # never drops out of the pattern
+    sites = GridSpec(axes=((-1.25, 1.25, 6), (-1.25, 1.25, 6)),
+                     fixed_coords={2: 0.0})
+    assert not sweep_grid(t, sites, "clifford", rep=rep).failures
+    for lam in ([0.3, -0.2, 0.0], [1.1, 2.3, 0.0], [0.3, -0.2, 0.4]):
+        clifford_gap(t, lam, rep)
+    assert order_calls == [(1600, [])]
+    # a Q grid whose E axis crosses 0: H's terms kept, then dropped
+    order_calls.clear()
+    spec = GridSpec(axes=((-1.0, 1.0, 3), (-0.5, 0.5, 3)),
+                    fixed_coords={1: 0.25})
+    assert not sweep_grid(t, spec, "quadratic").failures
+    assert order_calls == [(800, []), (800, [2])]

@@ -52,6 +52,22 @@ def test_gap_values_refuses_a_batch_of_the_wrong_width(t):
     assert str(info.value) == f"probe has {d + 1} coordinates for a {d}-tuple"
 
 
+@pytest.mark.parametrize("shape", [(2,), (1, 1, 2)])
+def test_gap_values_names_the_batch_shape_it_needs(shape, no_solves):
+    with pytest.raises(DimensionMismatch) as info:
+        gap_values(SSH, np.ones(shape), "quadratic")
+    assert str(info.value) == \
+        f"a batch of probes needs shape (k, 2), got {shape}"
+
+
+@pytest.mark.parametrize("probe", [[[1.0, 0.0]], [[1.0], [0.0]]])
+def test_a_single_probe_of_two_dimensions_keeps_its_message(probe, no_solves):
+    with pytest.raises(DimensionMismatch) as info:
+        quadratic_gap(SSH, probe)
+    assert str(info.value) == \
+        f"probe has {np.shape(probe)[-1]} coordinates for a 2-tuple"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("kind", ["quadratic", "clifford"])
 def test_sweep_grid_refuses_a_non_finite_fixed_coordinate(kind, bad, no_solves):

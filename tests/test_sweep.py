@@ -212,3 +212,12 @@ def test_pruned_1d_sweep_and_csv(tmp_path):
     assert lines[0] == f"# clifford,x=0:9:37,{full.model_fingerprint}"
     assert lines[1:] == [f"{x:.17g},{v:.17g}"
                          for x, v in zip(spec.points(0), full.values)]
+
+
+def test_spectral_flow_refuses_empty_samples(capsys):
+    from jointspec.cli import main
+
+    with pytest.raises(ParameterOutOfRange, match="t_samples is empty"):
+        spectral_flow(build_ssh_path, [4.0, 0.0], [], "localizer")
+    assert main(["flow", "--lambda", "4,0", "--samples", "0"]) == 2
+    assert "t_samples is empty" in capsys.readouterr().err
