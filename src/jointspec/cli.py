@@ -24,8 +24,8 @@ from .errors import JointSpecError, NumericalFailure
 from .models import (EXAMPLE_NAMES, LatticeModelSpec, build_ssh_path,
                      scale_positions, write_csv, write_json)
 from .states import kappa_sweep
-from .sweep import (GridSpec, epsilon_mask, model_fingerprint, spectral_flow,
-                    sweep_grid)
+from .sweep import (GridSpec, _check_epsilon, epsilon_mask, model_fingerprint,
+                    spectral_flow, sweep_grid)
 from .truncation import shift_to_origin, truncated_gap
 
 _MODEL_DESCRIPTIONS = [
@@ -235,6 +235,8 @@ def _cmd_gap(args) -> int:
 def _cmd_sweep(args) -> int:
     t = _built_tuple(args)
     spec = _parse_grid(args, t)
+    if args.epsilon is not None:
+        _check_epsilon(args.epsilon, args.prune)
     start = time.monotonic()
     grid = sweep_grid(t, spec, args.kind, pruning=args.prune,
                       accuracy=args.accuracy, workers=args.workers)

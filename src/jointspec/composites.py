@@ -41,6 +41,7 @@ from .operators import (
     _SYMMETRIC_LU,
     _check_accuracy,
     _max_abs,
+    count_below,
     eigenpair_nearest_zero,
     operator_norm,
     solves_densely,
@@ -466,7 +467,7 @@ def _quadratic_value(t, pencil, lam, w, vals, v) -> float:
     if v is None:
         if pencil.fmt != "dense":
             return 0.0
-        v = eigenpair_nearest_zero(pencil.matrix(vals))[1][:, 0]
+        v = eigenpair_nearest_zero(pencil.matrix(vals))[1]
     mu = float(np.sqrt(sum(np.linalg.norm(o.mat @ v - s * v) ** 2
                            for o, s in zip(t.ops, lam))))
     _LOG.info("low-confidence Q eigenvalue %.3e (scale %.3e) at %s: "
@@ -502,7 +503,6 @@ def gap_values(t: ObservableTuple, lams, kind: str,
             if w is None:
                 m, order = pencil.ordered(lam)
                 w, v = eigenpair_nearest_zero(m, accuracy, order=order)
-                w, v = float(w[0]), None if v is None else v[:, 0]
             elif np.isnan(w):
                 raise NumericalFailure("dense eigensolver did not converge",
                                        details={"dim": dim})
@@ -596,30 +596,27 @@ def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
     """Unit eigenvector of Q_lam for its smallest eigenvalue, with mu^Q.
 
     Returns ``(state, degenerate, mu_q)`` from one solve of Q_lam for its
-    two lowest eigenpairs, whose first residual must be at most 1e-8 times
-    ``_q_scale``; ``degenerate`` is set when the second eigenvalue lies
-    within 1e-8 of the smallest.  The solver's eigenvector is returned as-is
-    (no canonical phase), since a degenerate minimum has no preferred basis.
-    mu^Q follows ``quadratic_gap``'s rules (PSD clamp check, eigen-error for
-    values too small to trust); it can differ from that function's value in
-    the last bits, which solves Q separately.
+    lowest eigenpair (w, v), whose residual must be at most 1e-8 times
+    ``_q_scale``; ``degenerate`` is set when ``count_below`` finds a second
+    eigenvalue below ``w + 1e-8 max(1, |w|)``.  v is returned as-is (a
+    degenerate minimum has no preferred basis), and mu^Q follows
+    ``quadratic_gap``'s rules.
     """
     lam = _checked_probe(t, lam)
     _check_accuracy(accuracy)
     pencil = quadratic_pencil(t)
     m, order = pencil.ordered(lam.coords)
-    w, v = eigenpair_nearest_zero(m, accuracy, k=2, order=order)
+    w, v = eigenpair_nearest_zero(m, accuracy, order=order)
     if v is None:
         raise NumericalFailure("Q is singular: minimizing state not "
                                "recovered", details={"dim": pencil.dim})
-    vec = v[:, 0]
-    u = vec if order is None else vec[order]  # in m's layout
-    resid = np.linalg.norm(m @ u - w[0] * u)
+    u = v if order is None else v[order]  # in m's layout
+    resid = np.linalg.norm(m @ u - w * u)
     if resid > 1e-8 * _q_scale(t, lam.coords):
         raise NumericalFailure(f"minimizing state residual {resid:.3e} too large")
-    degenerate = len(w) > 1 and abs(w[1] - w[0]) <= DEGENERACY_TOL * max(1.0, abs(w[0]))
-    mu = _quadratic_value(t, pencil, lam.coords, float(w[0]), None, vec)
-    return StateVector(vec, normalize=True), bool(degenerate), mu
+    degenerate = count_below(m, w + DEGENERACY_TOL * max(1.0, abs(w)), order) > 1
+    mu = _quadratic_value(t, pencil, lam.coords, w, None, v)
+    return StateVector(v, normalize=True), degenerate, mu
 
 
 GRADING_TOL = 1e-10

@@ -2,12 +2,13 @@
 
 Everything downstream (composite operators, gap maps, truncation bounds)
 reduces to the handful of primitives defined here: operator norms, smallest
-singular values, smallest-magnitude eigenvalues and the expectation /
-variance functionals of unit states.
+singular values, smallest-magnitude eigenvalues, eigenvalue counts and the
+expectation / variance functionals of unit states.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "solves_densely",
     "start_vector",
     "eigenpair_nearest_zero",
+    "count_below",
 ]
 
 
@@ -209,11 +211,11 @@ def solves_densely(dim: int, sparse: bool) -> bool:
     return dim <= (SPARSE_EIGEN_CUTOFF if sparse else DENSE_EIGEN_CUTOFF)
 
 
-def start_vector(n: int, j: int = 0) -> np.ndarray:
-    """Fixed-seed random Lanczos start vector number j of length n, so
-    repeated solves give identical bytes; a structured one (all ones, say)
-    can be orthogonal to the wanted eigenvector."""
-    return np.random.default_rng((START_VECTOR_SEED, j)).standard_normal(n)
+def start_vector(n: int) -> np.ndarray:
+    """Fixed-seed random Lanczos start vector of length n, so repeated
+    solves give identical bytes; a structured one (all ones, say) can be
+    orthogonal to the wanted eigenvector."""
+    return np.random.default_rng((START_VECTOR_SEED, 0)).standard_normal(n)
 
 
 def _ritz_test(alpha, beta, b, rtol):
@@ -235,33 +237,22 @@ def _ritz_test(alpha, beta, b, rtol):
         abs(theta) - abs(other), rtol * abs(other))
 
 
-def _lanczos(apply, n, dtype, rtol, max_steps, vectors=False, locked=(),
-             order=None):
-    """The eigenvalue of largest magnitude of Hermitian ``apply`` on the
-    complement of the unit vectors ``locked``, with its unit Ritz vector if
-    asked: ``(theta, vector or None, steps, residual estimate, converged)``.
-
-    Plain Lanczos from start vector ``len(locked)`` in the layout ``order``
-    (the first run's, less its eigenvector, would hold no other copy of a
-    repeated eigenvalue),
-    without the restarts and reorthogonalization that extreme Ritz values
-    do not need (Paige, Linear Algebra Appl. 34, 1980).  ``_ritz_test`` runs at steps 1 to 8 (before
-    ghost copies form), then every 2 to 10 steps, at the cap and once
-    ``beta_m <= 1e-12 max|alpha_j|`` (invariant Krylov space).  The Ritz
-    vector ``y = V s`` meets the same test at residual ``beta |s_m| / ||y||``
-    (``A V = V T + beta q e_m^T`` holds without orthogonality, and a ghost
-    copy shrinks ``||y||``).
+def _lanczos(apply, n, dtype, rtol, max_steps, vectors=False, order=None):
+    """The eigenvalue of largest magnitude of Hermitian ``apply`` and, if
+    asked, its unit Ritz vector: ``(theta, vector or None, steps, residual
+    estimate, converged)``.  Plain Lanczos from the start vector in the
+    layout ``order``, without the restarts and reorthogonalization that
+    extreme Ritz values do not need (Paige, Linear Algebra Appl. 34, 1980).
+    ``_ritz_test`` runs at steps 1 to 8 (before ghost copies form), then
+    every 2 to 10 steps, at the cap and once ``beta_m <= 1e-12 max|alpha_j|``
+    (invariant Krylov space).  The Ritz vector ``y = V s`` meets the same
+    test at residual ``beta |s_m| / ||y||`` (``A V = V T + beta q e_m^T``
+    holds without orthogonality, and a ghost copy shrinks ``||y||``).
     """
     axpy, dotc, nrm2, scal = get_blas_funcs(("axpy", "dotc", "nrm2", "scal"),
                                             dtype=dtype)
-
-    def deflate(x):
-        for y in locked:
-            axpy(y, x, a=-dotc(y, x))
-
-    q = start_vector(n, len(locked))
+    q = start_vector(n)
     q = (q if order is None else q[order]).astype(dtype)
-    deflate(q)
     scal(1.0 / nrm2(q), q)
     basis, alpha, beta = [], [], []
     b = top = 0.0
@@ -269,7 +260,6 @@ def _lanczos(apply, n, dtype, rtol, max_steps, vectors=False, locked=(),
         if vectors:
             basis.append(q)
         w = apply(q)
-        deflate(w)
         if m > 1:
             axpy(q_prev, w, a=-b)
         alpha.append(dotc(q, w).real)
@@ -327,100 +317,107 @@ _SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                  "options": {"SymmetricMode": True}}
 
 
-def _shift_invert(ms, sigma, k, accuracy, order):
-    """Lanczos's k eigenpairs of ``ms`` nearest ``sigma``: one ``_lanczos``
-    run per pair on the solves of a factor of ``ms - sigma I``, each
-    deflating the pairs before it, so a repeated eigenvalue is found once
-    per copy.  The factor is ``_SYMMETRIC_LU``'s (in ``ms``'s own layout if
-    ``order`` is given) unless the diagonal has a zero (fill explodes there).
-    Unpivoted elimination can be inaccurate: where the runs do not converge
-    or an eigenvalue misses its Rayleigh quotient by more than ``accuracy``,
-    scipy's partial-pivoting LU is tried under the same test, and
-    NumericalFailure raised if that fails too.  Each factor makes one DEBUG
-    record.  The eigenvectors are returned in the model's order.
-    """
+def _shifted(ms, sigma):
+    return ms - sigma * sp.identity(ms.shape[0], format="csc") if sigma else ms
+
+
+def _symmetric_factor(ms, sigma, order):
+    """``_SYMMETRIC_LU``'s factor of ``ms - sigma I``, in ``ms``'s own layout
+    if ``order`` is given; None where the diagonal has a zero (fill explodes)."""
+    if np.any(ms.diagonal() == sigma):
+        return None
+    return spla.splu(_shifted(ms, sigma), **(_SYMMETRIC_LU if order is None
+                     else dict(_SYMMETRIC_LU, permc_spec="NATURAL")))
+
+
+def _shift_invert(ms, sigma, accuracy, order):
+    """Lanczos's eigenpair of ``ms`` nearest ``sigma`` (the eigenvector in
+    the model's order) from one ``_lanczos`` run on the solves of
+    ``_symmetric_factor``; where there is none, or its pair does not converge
+    or misses its Rayleigh quotient by more than ``accuracy``, of scipy's
+    partial-pivoting LU, else NumericalFailure.  Each factor logs once."""
     n, dtype = ms.shape[0], np.result_type(ms.dtype, float)
-    shifted = ms - sigma * sp.identity(n, format="csc") if sigma else ms
-    factors = [("partial-pivoting factor", {})]
-    if np.all(ms.diagonal() != sigma):
-        factors.insert(0, ("symmetric factor, MMD_AT_PLUS_A", _SYMMETRIC_LU)
-                       if order is None else ("symmetric factor, pencil order",
-                       dict(_SYMMETRIC_LU, permc_spec="NATURAL")))
-    for path, options in factors:
-        lu, runs = spla.splu(shifted, **options), []
-        while len(runs) < k and (not runs or runs[-1][4]):
-            runs.append(_lanczos(lu.solve, n, dtype, accuracy,
-                                 SHIFT_INVERT_MAX_STEPS, vectors=True,
-                                 locked=[r[1] for r in runs], order=order))
-        theta, vecs, steps, resid, ok = zip(*runs)
-        w, v = sigma + 1.0 / np.array(theta), np.column_stack(vecs)
-        err = np.abs(w - np.einsum("ij,ij->j", v.conj(), ms @ v).real)
-        _LOG.debug("shift-invert of dim %d at shift %.3g (%s): k=%d, "
-                   "%s Lanczos steps, residual estimate %.3g%s", n, sigma,
-                   path, k, "+".join(map(str, steps)), max(resid),
-                   "" if ok[-1] else ", unconverged")
-        if ok[-1] and np.all(err <= accuracy * np.maximum(1.0, np.abs(w))):
-            if order is not None:
-                v[order] = v.copy()
-            return w, v
+    symmetric = "MMD_AT_PLUS_A" if order is None else "pencil order"
+    for path, factor in (
+            ("symmetric factor, " + symmetric,
+             lambda: _symmetric_factor(ms, sigma, order)),
+            ("partial-pivoting factor", lambda: spla.splu(_shifted(ms, sigma)))):
+        lu = factor()
+        if lu is None:
+            continue
+        theta, v, steps, resid, ok = _lanczos(
+            lu.solve, n, dtype, accuracy, SHIFT_INVERT_MAX_STEPS,
+            vectors=True, order=order)
+        w = sigma + 1.0 / theta
+        err = abs(w - np.vdot(v, ms @ v).real)
+        _LOG.debug("shift-invert of dim %d at shift %.3g (%s): %d Lanczos "
+                   "steps, residual estimate %.3g%s", n, sigma, path, steps,
+                   resid, "" if ok else ", unconverged")
+        if ok and err <= accuracy * max(1.0, abs(w)):
+            return w, v if order is None else v[np.argsort(order)]
         _LOG.info("%s at shift %.3g (dim %d) %s: |eigenvalue - "
                   "Rayleigh quotient| = %.3g", path, sigma, n,
-                  "inaccurate" if ok[-1] else "gave no convergence", err.max())
+                  "inaccurate" if ok else "gave no convergence", err)
     raise NumericalFailure("shift-invert Lanczos did not converge",
                            details={"dim": n, "sigma": sigma})
 
 
-def _dense_nearest_zero(m, k, order=None):
-    """LAPACK's k eigenpairs of `m` nearest 0, stably ordered by |w|, with
-    the eigenvectors of `m` in the layout ``order`` put back in A's."""
-    w, v = np.linalg.eigh(m.toarray() if sp.issparse(m) else m)
-    pick = np.argsort(np.abs(w), kind="stable")[:k]
-    rows = slice(None) if order is None else np.argsort(order)
-    return w[pick], v[:, pick][rows]
-
-
-def eigenpair_nearest_zero(m, accuracy: float = 1e-9, k: int = 1,
-                           order=None):
-    """The k eigenpairs of Hermitian `m` nearest 0, sorted by distance from 0:
-    LAPACK where ``solves_densely`` says so, else ``_shift_invert`` at 0,
-    retried at a tiny jittered shift if the factor is singular.  If that
-    gives no eigenpairs, a matrix of dimension up to ``DENSE_EIGEN_CUTOFF``
-    is solved by LAPACK after all, with a warning; a larger one gives
-    ``(zeros, None)`` when singular at both shifts and raises
+def eigenpair_nearest_zero(m, accuracy: float = 1e-9, order=None):
+    """The eigenpair ``(w, v)`` of Hermitian `m` nearest 0 (a float and a
+    unit vector): LAPACK where ``solves_densely`` says so, else
+    ``_shift_invert`` at 0, retried at a tiny jittered shift if the factor
+    is singular.  If that gives no eigenpair, LAPACK solves a matrix of
+    dimension up to ``DENSE_EIGEN_CUTOFF`` after all, with a warning; a
+    larger one gives ``(0.0, None)`` when singular at both shifts and raises
     NumericalFailure when Lanczos did not converge.  Every event is logged.
-
     ``order``, if given, is `m`'s layout: `m` is ``A[order][:, order]``,
-    factored as it is laid out, and the eigenvectors returned are A's.
-    An ``accuracy`` outside (0, ``MAX_ACCURACY``] is refused.
+    factored as laid out; `v` is A's.  ``accuracy`` lies in (0, 1e-2].
     """
     _check_accuracy(accuracy)
     n = m.shape[0]
-    if solves_densely(n, sp.issparse(m)):
-        return _dense_nearest_zero(m, k, order)
-    ms = m if sp.issparse(m) and m.format == "csc" else sp.csc_matrix(m)
-    reason = "singular at both shifts"
-    for attempt in range(2):
-        sigma = 1e-10 * max(1.0, _norm_upper_bound(ms)) if attempt else 0.0
-        try:
-            w, v = _shift_invert(ms, sigma, k, accuracy, order)
-        except NumericalFailure:
-            if n > DENSE_EIGEN_CUTOFF:
-                raise
-            reason = f"no convergence at shift {sigma:.3g}"
-            break
-        except RuntimeError as exc:
-            _LOG.info("singular factorization at shift %.3g (dim %d): %s",
-                      sigma, n, exc)
-            continue
-        pick = np.argsort(np.abs(w))
-        return w[pick], v[:, pick]
-    if n > DENSE_EIGEN_CUTOFF:
-        _LOG.info("matrix of dim %d is singular to working precision; "
-                  "nearest-zero eigenvalue reported as 0", n)
-        return np.zeros(k), None
-    _LOG.warning("shift-invert on dim %d gave no eigenpairs (%s); dense "
-                 "eigendecomposition used", n, reason)
-    return _dense_nearest_zero(ms, k, order)
+    if not solves_densely(n, sp.issparse(m)):
+        ms = m if sp.issparse(m) and m.format == "csc" else sp.csc_matrix(m)
+        reason = "singular at both shifts"
+        for attempt in range(2):
+            sigma = 1e-10 * max(1.0, _norm_upper_bound(ms)) if attempt else 0.0
+            try:
+                return _shift_invert(ms, sigma, accuracy, order)
+            except NumericalFailure:
+                if n > DENSE_EIGEN_CUTOFF:
+                    raise
+                reason = f"no convergence at shift {sigma:.3g}"
+                break
+            except RuntimeError as exc:
+                _LOG.info("singular factorization at shift %.3g (dim %d): %s",
+                          sigma, n, exc)
+        if n > DENSE_EIGEN_CUTOFF:
+            _LOG.info("matrix of dim %d is singular to working precision; "
+                      "nearest-zero eigenvalue reported as 0", n)
+            return 0.0, None
+        _LOG.warning("shift-invert on dim %d gave no eigenpairs (%s); dense "
+                     "eigendecomposition used", n, reason)
+    w, v = np.linalg.eigh(m.toarray() if sp.issparse(m) else m)
+    i = np.argmin(np.abs(w))
+    return float(w[i]), v[:, i] if order is None else v[np.argsort(order), i]
+
+
+def count_below(m, s: float, order=None) -> int:
+    """The number of eigenvalues of Hermitian `m` (in the layout ``order``)
+    below ``s``: LAPACK's where ``solves_densely`` says so, else the negative
+    ``Re diag(U)`` of ``_symmetric_factor`` at ``s`` (Sylvester's law of
+    inertia).  Without that factor, or where it pivots off the diagonal,
+    LAPACK counts up to ``DENSE_EIGEN_CUTOFF``; a larger matrix raises."""
+    n = m.shape[0]
+    if not solves_densely(n, sp.issparse(m)):
+        with contextlib.suppress(RuntimeError):  # singular: no factor
+            lu = _symmetric_factor(sp.csc_matrix(m), s, order)
+            if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
+                return int(np.count_nonzero(lu.U.diagonal().real < 0))
+        if n > DENSE_EIGEN_CUTOFF:
+            raise NumericalFailure(f"no symmetric factor at shift {s!r} to "
+                                   "count eigenvalues", details={"dim": n})
+    w = np.linalg.eigvalsh(m.toarray() if sp.issparse(m) else m)
+    return int(np.count_nonzero(w < s))
 
 
 def smallest_singular_value(a) -> float:

@@ -278,16 +278,20 @@ def sweep_grid(t: ObservableTuple, spec: GridSpec, kind: str,
                    axis_names=axis_names, failures=failures, pruning=pruning)
 
 
-def epsilon_mask(grid: GapGrid, epsilon: float) -> np.ndarray:
-    """Boolean mask of the epsilon-sublevel set; skipped/failed cells are False.
-
-    A skipped cell is only proven above the pruning threshold, so an epsilon
-    above that threshold is refused."""
+def _check_epsilon(epsilon: float, pruning: Optional[float]) -> None:
+    """Refuse a NaN or negative epsilon and one above the pruning threshold."""
     if not epsilon >= 0:
         raise ParameterOutOfRange("epsilon must be >= 0")
-    if grid.pruning is not None and epsilon > grid.pruning:
+    if pruning is not None and epsilon > pruning:
         raise ParameterOutOfRange(
-            f"epsilon {epsilon:g} exceeds the pruning threshold {grid.pruning:g}")
+            f"epsilon {epsilon:g} exceeds the pruning threshold {pruning:g}")
+
+
+def epsilon_mask(grid: GapGrid, epsilon: float) -> np.ndarray:
+    """Boolean mask of the epsilon-sublevel set; skipped/failed cells are
+    False.  A skipped cell is only proven above the pruning threshold, so
+    ``_check_epsilon`` refuses an epsilon above it."""
+    _check_epsilon(epsilon, grid.pruning)
     return (grid.values <= epsilon) & ~grid.skipped_mask
 
 

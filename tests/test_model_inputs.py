@@ -263,3 +263,25 @@ def test_gap_values_refuses_a_zero_dimensional_probe():
     with pytest.raises(DimensionMismatch) as info:
         gap_values(SSH, 5.0, "quadratic")
     assert str(info.value) == "probe has 1 coordinates for a 2-tuple"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--prune", "0.1", "--epsilon", "0.5"],
+    ["--epsilon", "nan"],
+    ["--prune", "0.1", "--epsilon", "nan"],
+])
+def test_sweep_cli_refuses_a_bad_epsilon_before_any_cell(capsys, monkeypatch,
+                                                         argv):
+    from jointspec import sweep
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gap_values(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "gap_values", counted)
+    code = main(["sweep", "--model", "ssh", "--grid", "x=0:9:5,E=-1:1:5", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and "epsilon" in err
+    assert out == "" and calls == []

@@ -100,7 +100,7 @@ def test_smallest_singular_value_refuses_a_large_sparse_matrix():
 def test_nearest_zero_dense_input():
     a = np.diag([-3.0, 0.5, 2.0])
     w, _ = eigenpair_nearest_zero(a)
-    assert np.isclose(abs(w[0]), 0.5)
+    assert np.isclose(abs(w), 0.5)
 
 
 def test_nearest_zero_sparse_matches_dense():
@@ -110,14 +110,14 @@ def test_nearest_zero_sparse_matches_dense():
     m = sp.diags([off, diag, off], [-1, 0, 1]).tocsr()
     dense_val = np.abs(np.linalg.eigvalsh(m.toarray())).min()
     w, _ = eigenpair_nearest_zero(m, accuracy=1e-10)
-    assert np.isclose(abs(w[0]), dense_val, atol=1e-8)
+    assert np.isclose(abs(w), dense_val, atol=1e-8)
 
 
 def test_nearest_zero_vector():
     a = np.diag([4.0, 0.25, -2.0])
     w, v = eigenpair_nearest_zero(a)
-    assert np.isclose(abs(w[0]), 0.25)
-    assert np.isclose(abs(v[1, 0]), 1.0)
+    assert np.isclose(abs(w), 0.25)
+    assert np.isclose(abs(v[1]), 1.0)
 
 
 def test_expectation_and_variance():
@@ -258,11 +258,12 @@ def known_spectrum(dim, seed=5):
 
 @pytest.fixture
 def no_lapack(monkeypatch):
-    """Fail on any dense eigendecomposition of the matrix being solved."""
-    def forbidden(m, k):
+    """Fail on any dense eigendecomposition."""
+    def forbidden(m):
         raise AssertionError(f"dense solve of dim {m.shape[0]}")
 
-    monkeypatch.setattr(operators, "_dense_nearest_zero", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
 
 
 @pytest.mark.parametrize("dim", [513, 4098])
@@ -270,11 +271,12 @@ def test_shift_invert_matches_known_spectrum(dim, no_lapack):
     # both sides of DENSE_EIGEN_CUTOFF, above SPARSE_EIGEN_CUTOFF
     m, e = known_spectrum(dim)
     assert not operators.solves_densely(dim, True)
-    for k in (1, 2):
-        w, v = eigenpair_nearest_zero(m, k=k)
-        np.testing.assert_allclose(w, e[:k], rtol=0, atol=1e-12)
-        # shift-invert's residual test is relative to the inverse: ||m||
-        assert np.linalg.norm(m @ v - v * w) <= 1e-9 * np.abs(e).max()
+    w, v = eigenpair_nearest_zero(m)
+    assert abs(w - e[0]) <= 1e-12
+    # shift-invert's residual test is relative to the inverse: ||m||
+    assert np.linalg.norm(m @ v - w * v) <= 1e-9 * np.abs(e).max()
+    low = np.sort(e)
+    assert operators.count_below(m, (low[0] + low[1]) / 2) == 1
 
 
 def test_shift_invert_step_cap_on_both_sides_of_dense_cutoff(monkeypatch,
@@ -285,8 +287,8 @@ def test_shift_invert_step_cap_on_both_sides_of_dense_cutoff(monkeypatch,
         eigenpair_nearest_zero(big)
     small, e = known_spectrum(513)
     with caplog.at_level(logging.WARNING, logger="jointspec"):
-        w, _ = eigenpair_nearest_zero(small, k=2)
-    np.testing.assert_allclose(w, e[:2], rtol=0, atol=1e-12)
+        w, _ = eigenpair_nearest_zero(small)
+    assert abs(w - e[0]) <= 1e-12
     assert [r.getMessage().split(";")[0] for r in caplog.records] == [
         "shift-invert on dim 513 gave no eigenpairs (no convergence at shift "
         "0)"]
@@ -298,23 +300,24 @@ def test_sparse_solves_call_no_eigsh(monkeypatch):
     calls = []
     monkeypatch.setattr(spla, "eigsh", lambda *a, **k: calls.append(a))
     m, e = known_spectrum(600)
-    assert eigenpair_nearest_zero(m, k=2)[0][1] == pytest.approx(e[1])
+    assert eigenpair_nearest_zero(m)[0] == pytest.approx(e[0])
+    assert operators.count_below(m, (e[0] + e[1]) / 2) == 300
     operator_norm(m)
     assert calls == []
 
 
 def test_shift_invert_logs_one_debug_record_per_solve(caplog):
     m, _ = known_spectrum(4098)
-    quiet = eigenpair_nearest_zero(m, k=2)
+    quiet = eigenpair_nearest_zero(m)
     with caplog.at_level(logging.DEBUG, logger="jointspec"):
-        w, v = eigenpair_nearest_zero(m, k=2)
+        w, v = eigenpair_nearest_zero(m)
     records = [r for r in caplog.records if r.name == "jointspec"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
     text = records[0].getMessage()
-    for part in ("dim 4098", "symmetric factor", "k=2", "Lanczos steps",
+    for part in ("dim 4098", "symmetric factor", "Lanczos steps",
                  "residual estimate"):
         assert part in text
-    assert np.array_equal(w, quiet[0]) and np.array_equal(v, quiet[1])
+    assert w == quiet[0] and np.array_equal(v, quiet[1])
 
 
 def test_shift_invert_settles_the_far_end_first():
@@ -325,4 +328,53 @@ def test_shift_invert_settles_the_far_end_first():
     theta = np.concatenate([[10.99], np.linspace(-11.0, -5.0, 599)])
     m = sp.diags(1.0 / theta).tocsc()
     w, _ = eigenpair_nearest_zero(m)
-    assert abs(w[0] + 1.0 / 11.0) <= 1e-12
+    assert abs(w + 1.0 / 11.0) <= 1e-12
+
+
+# -- eigenvalue counts from the symmetric factor ------------------------------
+
+
+@pytest.mark.parametrize("dim", [300, 513, 4098])
+def test_count_below_matches_the_spectrum(dim, monkeypatch):
+    # both sides of SPARSE_EIGEN_CUTOFF (LAPACK, then the factor) and above
+    # DENSE_EIGEN_CUTOFF; each shift lies midway between two eigenvalues.
+    # Above SPARSE_EIGEN_CUTOFF a count not read off the factor fails.
+    m, e = known_spectrum(dim)
+    if dim > 300:
+        monkeypatch.setattr(operators, "DENSE_EIGEN_CUTOFF", 500)
+    if dim <= 513:
+        np.testing.assert_allclose(np.sort(e), np.linalg.eigvalsh(m.toarray()),
+                                   rtol=0, atol=1e-12)
+    for s in (-0.31, -0.02, 0.0, 0.02, 0.31, 1.0):
+        assert operators.count_below(m, s) == np.count_nonzero(e < s)
+
+
+def zero_on_the_diagonal():
+    # the shift equals a diagonal entry: no symmetric factor
+    n = 600
+    ones = 0.3 * np.ones(n - 1)
+    m = sp.diags([ones, np.linspace(-5.0, 5.0, n), ones], [-1, 0, 1]).tocsc()
+    return m, float(m.diagonal()[200].real), None
+
+
+def pivot_off_the_diagonal():
+    # in natural order the second pivot of [[1, 1, 1], [1, 1, 2], [1, 2, 3]]
+    # is an exact 0, and the factor swaps rows: its pivot signs miscount
+    block = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 3.0]])
+    m = sp.block_diag([block, sp.diags(np.linspace(-3.0, 3.0, 598) + 0.0025)],
+                      format="csc")
+    order = np.arange(m.shape[0])
+    lu = operators._symmetric_factor(m, 0.0, order)
+    assert not np.array_equal(lu.perm_r, lu.perm_c)
+    return m, 0.0, order
+
+
+@pytest.mark.parametrize("case", [zero_on_the_diagonal, pivot_off_the_diagonal])
+def test_count_below_without_a_usable_factor(case, monkeypatch):
+    # LAPACK counts up to DENSE_EIGEN_CUTOFF, and a larger matrix is refused
+    m, s, order = case()
+    ref = np.count_nonzero(np.linalg.eigvalsh(m.toarray()) < s)
+    assert operators.count_below(m, s, order) == ref
+    monkeypatch.setattr(operators, "DENSE_EIGEN_CUTOFF", 550)
+    with pytest.raises(NumericalFailure, match=repr(s)):
+        operators.count_below(m, s, order)

@@ -281,11 +281,10 @@ def test_q_clamp_scale_does_not_grow_with_the_lattice(monkeypatch):
     t = build_chern2d(20, 20)
     lam = [0.0, 0.0, 0.0]
     assert quadratic_pencil(t).fmt == "csc"
-    v = np.zeros((t.dim, 1), dtype=complex)
+    v = np.zeros(t.dim, dtype=complex)
     v[0] = 1.0
     monkeypatch.setattr(composites, "eigenpair_nearest_zero",
-                        lambda m, accuracy, k=1, order=None:
-                        (np.array([-1e-7]), v))
+                        lambda m, accuracy, order=None: (-1e-7, v))
     with pytest.raises(NumericalFailure, match="below the PSD clamp"):
         quadratic_gap(t, lam)
 
@@ -322,13 +321,13 @@ def test_singular_matrix_path_is_logged(caplog):
     m = singular_diagonal()
     with caplog.at_level(logging.INFO, logger="jointspec"):
         w, _ = eigenpair_nearest_zero(m)
-    assert abs(w[0]) <= 1e-8
+    assert abs(w) <= 1e-8
     messages = [r.getMessage() for r in caplog.records]
     assert any("singular factorization" in msg for msg in messages)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="jointspec"):
         again, _ = eigenpair_nearest_zero(m)
-    assert again[0] == w[0]  # logging leaves the value
+    assert again == w  # logging leaves the value
     assert not caplog.records
 
 
@@ -359,10 +358,9 @@ def fallback_warnings(caplog):
 def test_singular_at_both_shifts_recovers_densely(singular_twice, caplog):
     m = singular_diagonal()
     with caplog.at_level(logging.INFO, logger="jointspec"):
-        w, v = eigenpair_nearest_zero(m, k=2)
-    np.testing.assert_array_equal(np.abs(w),
-                                  np.sort(np.abs(m.diagonal()))[:2])
-    assert np.linalg.norm(m @ v - v * w) <= 1e-12
+        w, v = eigenpair_nearest_zero(m)
+    assert w == 0.0
+    assert np.linalg.norm(m @ v - w * v) <= 1e-12
     assert len(fallback_warnings(caplog)) == 1
 
 
@@ -370,14 +368,14 @@ def test_singular_above_dense_cutoff_reads_zero(singular_twice, monkeypatch,
                                                 caplog):
     monkeypatch.setattr(operators, "DENSE_EIGEN_CUTOFF", 550)
     with caplog.at_level(logging.INFO, logger="jointspec"):
-        w, v = eigenpair_nearest_zero(singular_diagonal(), k=2)
+        w, v = eigenpair_nearest_zero(singular_diagonal())
         t = chern_half(12)  # L dim 576
         rep = build_clifford(3)
         assert clifford_gap(t, [0.3, -0.2, 0.0], rep) == 0.0
         assert quadratic_gap(sparse_pair(600, seed=3), [0.2, 0.1]) == 0.0
         with pytest.raises(NumericalFailure):
             composites.minimizing_state(sparse_pair(600, seed=3), [0.2, 0.1])
-    assert v is None and np.all(w == 0.0)
+    assert v is None and w == 0.0
     assert any("reported as 0" in r.getMessage() for r in caplog.records)
     assert not fallback_warnings(caplog)
 
@@ -443,6 +441,19 @@ def splu_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def order_calls(monkeypatch):
+    calls = []
+    order = Pencil._order
+
+    def spy(self, dead):
+        calls.append((self.dim, sorted(dead)))
+        return order(self, dead)
+
+    monkeypatch.setattr(Pencil, "_order", spy)
+    return calls
+
+
 def symmetric(calls):
     return [c for c in calls if c.get("options", {}).get("SymmetricMode")]
 
@@ -451,9 +462,22 @@ def chern_half(nx):
     return scale_positions(build_chern2d(nx, nx), 0.5)
 
 
-def dense_nearest_zero(m, k=1):
-    w = np.linalg.eigvalsh(m.toarray() if sp.issparse(m) else m)
-    return w[np.argsort(np.abs(w))[:k]]
+def dense_spectrum(m):
+    return np.linalg.eigvalsh(m.toarray() if sp.issparse(m) else m)
+
+
+def dense_nearest_zero(m):
+    w = dense_spectrum(m)
+    return w[np.argmin(np.abs(w))]
+
+
+def assert_count_above(m, w, order=None):
+    # midway between w and the next distinct eigenvalue above it (the lowest
+    # pair of L, and of Q at some probes, is exactly repeated), the count
+    # equals the dense one
+    ev = dense_spectrum(m)
+    mid = (w + ev[ev > w + 1e-6 * max(1.0, abs(w))][0]) / 2
+    assert operators.count_below(m, mid, order) == np.count_nonzero(ev < mid)
 
 
 @pytest.mark.parametrize("nx,q_fmt", [(12, "dense"), (20, "csc")])
@@ -506,15 +530,14 @@ def test_two_eigenpairs_nearest_zero_match_dense(energy):
     rep = build_clifford(3)
     lam = [0.0, 0.0, energy]
     m = localizer_pencil(t, rep).at(lam)
-    w, v = operators.eigenpair_nearest_zero(m, k=2)
-    ref = dense_nearest_zero(m, k=2)
-    np.testing.assert_allclose(np.abs(w), np.abs(ref), rtol=0, atol=1e-9)
-    for i in range(2):
-        assert np.linalg.norm(m @ v[:, i] - w[i] * v[:, i]) <= 1e-8
+    w, v = operators.eigenpair_nearest_zero(m)
+    assert abs(abs(w) - abs(dense_nearest_zero(m))) <= 1e-9
+    assert np.linalg.norm(m @ v - w * v) <= 1e-8
+    assert_count_above(m, w)
 
 
 def test_sparse_minimizing_state_matches_dense():
-    t = chern_half(20)  # Q dim 800: sparse, k = 2
+    t = chern_half(20)  # Q dim 800: sparse
     lam = [0.3, -0.2, 0.0]
     assert quadratic_pencil(t).fmt == "csc"
     state, degenerate, _ = composites.minimizing_state(t, lam)
@@ -525,14 +548,18 @@ def test_sparse_minimizing_state_matches_dense():
     assert degenerate == (w[1] - w[0] <= composites.DEGENERACY_TOL)
 
 
-def test_extract_state_factorizes_q_once(splu_calls):
+def test_extract_state_factorizes_q_once(splu_calls, order_calls):
+    # one factor for the solve and one for the degeneracy count, both in
+    # the pencil's order, which is computed once
     from jointspec.models import ScaledTuple
     from jointspec.states import check_identity, extract_state
 
     base = build_chern2d(17, 17)  # Q dim 578 > 512
     lam = [7.0, 0.0, 0.0]
     report = extract_state(ScaledTuple(base, 0.5), lam)
-    assert len(splu_calls) == 1
+    assert len(splu_calls) == len(symmetric(splu_calls)) == 2
+    assert all(c["permc_spec"] == "NATURAL" for c in splu_calls)
+    assert order_calls == [(578, [2])]  # E = 0 drops H's terms
     check_identity(report)
     mu = quadratic_gap(scale_positions(base, 0.5), [3.5, 0.0, 0.0])
     assert abs(report.mu_q - mu) <= 1e-12 * max(1.0, mu)
@@ -550,10 +577,10 @@ def test_localizer_nearest_negative_eigenvalue_matches_dense(nx, lam):
     t = chern_half(nx)
     m = localizer_pencil(t, build_clifford(3)).at(lam)
     assert m.shape[0] > operators.SPARSE_EIGEN_CUTOFF
-    ref = dense_nearest_zero(m)[0]
+    ref = dense_nearest_zero(m)
     assert ref < 0
     w, _ = eigenpair_nearest_zero(m)
-    assert abs(w[0] - ref) <= 1e-10 * abs(ref)
+    assert abs(w - ref) <= 1e-10 * abs(ref)
 
 
 def test_near_degenerate_q_returns_the_lowest_eigenvalue():
@@ -561,7 +588,7 @@ def test_near_degenerate_q_returns_the_lowest_eigenvalue():
     lam = [2.15, 0.0, 0.0]
     m = quadratic_pencil(chern_half(20)).at(lam)
     w, _ = eigenpair_nearest_zero(m)
-    assert abs(w[0] - 2.09195016) <= 1e-8
+    assert abs(w - 2.09195016) <= 1e-8
 
 
 PROBES = [[2.15, 0.0, 0.0], [0.3, -0.2, 0.0], [3.75, 3.75, 0.0],
@@ -590,14 +617,14 @@ def test_minimizing_state_residual_scale_is_size_free(monkeypatch):
     lam = [0.0, 0.0, 0.0]
     w, u = np.linalg.eigh(direct_q(t, lam))
     tilt = 1e-5 / (w[-1] - w[0])
-    v = np.column_stack([u[:, 0] + tilt * u[:, -1], u[:, 1]])
-    v[:, 0] /= np.linalg.norm(v[:, 0])
+    v = u[:, 0] + tilt * u[:, -1]
+    v /= np.linalg.norm(v)
     q = direct_q(t, lam)
-    resid = np.linalg.norm(q @ v[:, 0] - w[0] * v[:, 0])
+    resid = np.linalg.norm(q @ v - w[0] * v)
     assert 1e-8 * composites._q_scale(t, lam) < resid \
         < 1e-8 * np.linalg.norm(q)
     monkeypatch.setattr(composites, "eigenpair_nearest_zero",
-                        lambda m, accuracy, k=1, order=None: (w[:2], v))
+                        lambda m, accuracy, order=None: (w[0], v))
     with pytest.raises(NumericalFailure, match="residual"):
         composites.minimizing_state(t, lam)
 
@@ -634,11 +661,12 @@ def test_ordered_solve_equals_the_mmd_solve(nx, kind, energy):
     # the pencil's order is MMD's: the same fill as SuperLU's own ordering
     assert abs(fill(ordered, "NATURAL") - fill(m, "MMD_AT_PLUS_A")) \
         <= 1e-3 * fill(m, "MMD_AT_PLUS_A")
-    w, v = eigenpair_nearest_zero(ordered, k=2, order=order)
-    ref, _ = eigenpair_nearest_zero(m, k=2)
-    np.testing.assert_allclose(w, ref, rtol=1e-12, atol=0)
-    for i in range(2):
-        assert np.linalg.norm(m @ v[:, i] - w[i] * v[:, i]) <= 1e-8
+    w, v = eigenpair_nearest_zero(ordered, order=order)
+    ref, _ = eigenpair_nearest_zero(m)
+    assert abs(w - ref) <= 1e-12 * abs(ref)
+    assert abs(w - dense_nearest_zero(m)) <= 1e-9 * max(1.0, abs(w))
+    assert np.linalg.norm(m @ v - w * v) <= 1e-8
+    assert_count_above(ordered, w, order)
 
 
 def permuted(m, seed):
@@ -646,10 +674,9 @@ def permuted(m, seed):
     return sp.csc_matrix(m.toarray()[np.ix_(order, order)]), order
 
 
-def assert_eigenpairs_of(m, w, v):
+def assert_eigenpair_of(m, w, v):
     assert v is not None
-    for i in range(len(w)):
-        assert np.linalg.norm(m @ v[:, i] - w[i] * v[:, i]) <= 1e-8
+    assert np.linalg.norm(m @ v - w * v) <= 1e-8
 
 
 def test_ordered_eigenvectors_on_the_factor_paths(caplog):
@@ -662,31 +689,31 @@ def test_ordered_eigenvectors_on_the_factor_paths(caplog):
     for p, lam, path in cases:
         ordered, order = p.ordered(lam)
         with caplog.at_level(logging.DEBUG, logger="jointspec"):
-            w, v = eigenpair_nearest_zero(ordered, k=2, order=order)
+            w, v = eigenpair_nearest_zero(ordered, order=order)
         assert any(path in r.getMessage() for r in caplog.records)
         caplog.clear()
-        assert_eigenpairs_of(p.at(lam), w, v)
+        assert_eigenpair_of(p.at(lam), w, v)
     m = singular_diagonal()
     ordered, order = permuted(m, seed=1)
     with caplog.at_level(logging.INFO, logger="jointspec"):
-        w, v = eigenpair_nearest_zero(ordered, k=2, order=order)
+        w, v = eigenpair_nearest_zero(ordered, order=order)
     assert any("singular factorization" in r.getMessage()
                for r in caplog.records)
-    assert_eigenpairs_of(m, w, v)
+    assert_eigenpair_of(m, w, v)
     # a sparse matrix small enough for LAPACK from the start
     m = sp.diags(np.linspace(-1.0, 2.0, 300)).tocsr()
     ordered, order = permuted(m, seed=3)
-    w, v = eigenpair_nearest_zero(ordered, k=2, order=order)
-    assert_eigenpairs_of(m, w, v)
+    w, v = eigenpair_nearest_zero(ordered, order=order)
+    assert_eigenpair_of(m, w, v)
 
 
 def test_ordered_eigenvectors_after_dense_recovery(singular_twice, caplog):
     m = localizer_pencil(chern_half(12), build_clifford(3)).at([0.3, -0.2, 0.0])
     ordered, order = permuted(m, seed=2)
     with caplog.at_level(logging.WARNING, logger="jointspec"):
-        w, v = eigenpair_nearest_zero(ordered, k=2, order=order)
+        w, v = eigenpair_nearest_zero(ordered, order=order)
     assert len(fallback_warnings(caplog)) == 1
-    assert_eigenpairs_of(m, w, v)
+    assert_eigenpair_of(m, w, v)
 
 
 def test_row_sweep_orders_each_pattern_once(monkeypatch, caplog):
@@ -754,19 +781,6 @@ def test_probe_on_a_lattice_site_shares_the_off_site_order():
     assert values[0] == mu
 
 
-@pytest.fixture
-def order_calls(monkeypatch):
-    calls = []
-    order = Pencil._order
-
-    def spy(self, dead):
-        calls.append((self.dim, sorted(dead)))
-        return order(self, dead)
-
-    monkeypatch.setattr(Pencil, "_order", spy)
-    return calls
-
-
 def test_one_order_per_term_set(order_calls):
     t = chern_half(20)
     rep = build_clifford(3)
@@ -785,3 +799,37 @@ def test_one_order_per_term_set(order_calls):
                     fixed_coords={1: 0.25})
     assert not sweep_grid(t, spec, "quadratic").failures
     assert order_calls == [(800, []), (800, [2])]
+
+
+# -- eigenvalue counts on the Chern composites --------------------------------
+
+
+@pytest.mark.parametrize("kind", ["Q", "L"])
+def test_count_below_matches_dense_on_chern(kind, monkeypatch):
+    # Chern-20: Q dim 800, L dim 1600, each in its pencil's order, at three
+    # shifts: the middle of the widest gap between dense eigenvalues among
+    # the 20 from the bottom, from a quarter and from half the spectrum; the
+    # lowered cutoff makes a count that is not read off the factor fail
+    monkeypatch.setattr(operators, "DENSE_EIGEN_CUTOFF", 500)
+    t = chern_half(20)
+    rep = build_clifford(3)
+    lam = [1.1, 2.3, 0.2]
+    pencil = quadratic_pencil(t) if kind == "Q" else localizer_pencil(t, rep)
+    ordered, order = pencil.ordered(lam)
+    ev = dense_spectrum(ordered)
+    for start in (1, len(ev) // 4, len(ev) // 2):
+        i = start + np.argmax(np.diff(ev[start - 1:start + 20]))
+        s = (ev[i - 1] + ev[i]) / 2
+        assert operators.count_below(ordered, s, order) == i
+
+
+def test_sparse_state_repeats_bytewise():
+    from jointspec.models import ScaledTuple
+    from jointspec.states import extract_state
+
+    base = build_chern2d(20, 20)
+    assert quadratic_pencil(scale_positions(base, 0.5)).fmt == "csc"
+    a, b = (extract_state(ScaledTuple(base, 0.5), [3.5, 0.0, 0.0])
+            for _ in range(2))
+    assert a.state.vec.tobytes() == b.state.vec.tobytes()
+    assert a.mu_q == b.mu_q and a.degenerate == b.degenerate
