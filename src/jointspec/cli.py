@@ -43,6 +43,8 @@ def _atomic_write(path, writer):
     """Run `writer(tmp_path)` then rename over `path`."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.umask(umask := os.umask(0))  # read the umask: mkstemp's file is 0600
+    os.fchmod(fd, 0o666 & ~umask)
     os.close(fd)
     try:
         writer(tmp)
@@ -237,6 +239,8 @@ def _cmd_sweep(args) -> int:
     spec = _parse_grid(args, t)
     if args.epsilon is not None:
         _check_epsilon(args.epsilon, args.prune)
+    if args.pgm_out and len(spec.axes) != 2:
+        raise JointSpecError("PGM preview requires a 2D grid")
     start = time.monotonic()
     grid = sweep_grid(t, spec, args.kind, pruning=args.prune,
                       accuracy=args.accuracy, workers=args.workers)

@@ -40,6 +40,7 @@ from .operators import (
     StateVector,
     _SYMMETRIC_LU,
     _check_accuracy,
+    _eigh_nearest_zero,
     _max_abs,
     count_below,
     eigenpair_nearest_zero,
@@ -455,7 +456,7 @@ def _quadratic_value(t, pencil, lam, w, vals, v) -> float:
     """mu^Q from Q's smallest eigenvalue w (nearest 0, for a sparse Q), with
     the PSD clamp check and the unsquared re-evaluation of values too small
     to trust, both on the scale ``_q_scale``.  ``v`` is w's eigenvector if
-    the solve gave one; a sparse Q without one was singular."""
+    the solve gave one (every sparse solve does)."""
     scale = _q_scale(t, lam)
     if w < -NEGATIVE_EIG_TOL * scale:
         raise NumericalFailure(f"Q eigenvalue {w:.3e} below the PSD clamp")
@@ -465,8 +466,6 @@ def _quadratic_value(t, pencil, lam, w, vals, v) -> float:
     # low confidence: the eigen-error sum_j ||(X_j - lam_j) v||^2 at the
     # minimizing eigenvector is accurate without squaring
     if v is None:
-        if pencil.fmt != "dense":
-            return 0.0
         v = eigenpair_nearest_zero(pencil.matrix(vals))[1]
     mu = float(np.sqrt(sum(np.linalg.norm(o.mat @ v - s * v) ** 2
                            for o, s in zip(t.ops, lam))))
@@ -597,24 +596,25 @@ def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
 
     Returns ``(state, degenerate, mu_q)`` from one solve of Q_lam for its
     lowest eigenpair (w, v), whose residual must be at most 1e-8 times
-    ``_q_scale``; ``degenerate`` is set when ``count_below`` finds a second
-    eigenvalue below ``w + 1e-8 max(1, |w|)``.  v is returned as-is (a
-    degenerate minimum has no preferred basis), and mu^Q follows
-    ``quadratic_gap``'s rules.
+    ``_q_scale``; ``degenerate`` is set when ``count_below``, or a dense
+    solve's own spectrum, has a second eigenvalue below ``w + 1e-8 max(1,
+    |w|)``.  v is returned as-is (a degenerate minimum has no preferred
+    basis), and mu^Q follows ``quadratic_gap``'s rules.
     """
     lam = _checked_probe(t, lam)
     _check_accuracy(accuracy)
     pencil = quadratic_pencil(t)
     m, order = pencil.ordered(lam.coords)
-    w, v = eigenpair_nearest_zero(m, accuracy, order=order)
-    if v is None:
-        raise NumericalFailure("Q is singular: minimizing state not "
-                               "recovered", details={"dim": pencil.dim})
+    # a dense Q's one LAPACK call gives the pair and the count
+    spectrum, w, v = _eigh_nearest_zero(m) if pencil.fmt == "dense" else \
+        (None, *eigenpair_nearest_zero(m, accuracy, order))
     u = v if order is None else v[order]  # in m's layout
     resid = np.linalg.norm(m @ u - w * u)
     if resid > 1e-8 * _q_scale(t, lam.coords):
         raise NumericalFailure(f"minimizing state residual {resid:.3e} too large")
-    degenerate = count_below(m, w + DEGENERACY_TOL * max(1.0, abs(w)), order) > 1
+    s = w + DEGENERACY_TOL * max(1.0, abs(w))
+    degenerate = (count_below(m, s, order) if spectrum is None
+                  else int(np.count_nonzero(spectrum < s))) > 1
     mu = _quadratic_value(t, pencil, lam.coords, w, None, v)
     return StateVector(v, normalize=True), degenerate, mu
 

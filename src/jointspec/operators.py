@@ -8,7 +8,6 @@ expectation / variance functionals of unit states.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 
 import numpy as np
@@ -317,102 +316,87 @@ _SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                  "options": {"SymmetricMode": True}}
 
 
-def _shifted(ms, sigma):
-    return ms - sigma * sp.identity(ms.shape[0], format="csc") if sigma else ms
-
-
-def _symmetric_factor(ms, sigma, order):
-    """``_SYMMETRIC_LU``'s factor of ``ms - sigma I``, in ``ms``'s own layout
-    if ``order`` is given; None where the diagonal has a zero (fill explodes)."""
-    if np.any(ms.diagonal() == sigma):
+def _factor(ms, sigma, order, symmetric):
+    """``_SYMMETRIC_LU``'s factor of ``ms - sigma I`` (in ``ms``'s layout if
+    ``order`` is given) or scipy's partial-pivoting LU; None, logged, where it
+    is singular or the symmetric one meets a zero on the shifted diagonal."""
+    if symmetric and np.any(ms.diagonal() == sigma):
+        _LOG.debug("symmetric factor skipped at shift %.3g (dim %d): zero on "
+                   "the shifted diagonal", sigma, ms.shape[0])
         return None
-    return spla.splu(_shifted(ms, sigma), **(_SYMMETRIC_LU if order is None
-                     else dict(_SYMMETRIC_LU, permc_spec="NATURAL")))
-
-
-def _shift_invert(ms, sigma, accuracy, order):
-    """Lanczos's eigenpair of ``ms`` nearest ``sigma`` (the eigenvector in
-    the model's order) from one ``_lanczos`` run on the solves of
-    ``_symmetric_factor``; where there is none, or its pair does not converge
-    or misses its Rayleigh quotient by more than ``accuracy``, of scipy's
-    partial-pivoting LU, else NumericalFailure.  Each factor logs once."""
-    n, dtype = ms.shape[0], np.result_type(ms.dtype, float)
-    symmetric = "MMD_AT_PLUS_A" if order is None else "pencil order"
-    for path, factor in (
-            ("symmetric factor, " + symmetric,
-             lambda: _symmetric_factor(ms, sigma, order)),
-            ("partial-pivoting factor", lambda: spla.splu(_shifted(ms, sigma)))):
-        lu = factor()
-        if lu is None:
-            continue
-        theta, v, steps, resid, ok = _lanczos(
-            lu.solve, n, dtype, accuracy, SHIFT_INVERT_MAX_STEPS,
-            vectors=True, order=order)
-        w = sigma + 1.0 / theta
-        err = abs(w - np.vdot(v, ms @ v).real)
-        _LOG.debug("shift-invert of dim %d at shift %.3g (%s): %d Lanczos "
-                   "steps, residual estimate %.3g%s", n, sigma, path, steps,
-                   resid, "" if ok else ", unconverged")
-        if ok and err <= accuracy * max(1.0, abs(w)):
-            return w, v if order is None else v[np.argsort(order)]
-        _LOG.info("%s at shift %.3g (dim %d) %s: |eigenvalue - "
-                  "Rayleigh quotient| = %.3g", path, sigma, n,
-                  "inaccurate" if ok else "gave no convergence", err)
-    raise NumericalFailure("shift-invert Lanczos did not converge",
-                           details={"dim": n, "sigma": sigma})
+    ms = ms - sigma * sp.identity(ms.shape[0], format="csc") if sigma else ms
+    try:
+        return spla.splu(ms, **({} if not symmetric else _SYMMETRIC_LU
+                                if order is None else
+                                dict(_SYMMETRIC_LU, permc_spec="NATURAL")))
+    except RuntimeError as exc:
+        _LOG.info("singular factorization at shift %.3g (dim %d): %s",
+                  sigma, ms.shape[0], exc)
+        return None
 
 
 def eigenpair_nearest_zero(m, accuracy: float = 1e-9, order=None):
     """The eigenpair ``(w, v)`` of Hermitian `m` nearest 0 (a float and a
-    unit vector): LAPACK where ``solves_densely`` says so, else
-    ``_shift_invert`` at 0, retried at a tiny jittered shift if the factor
-    is singular.  If that gives no eigenpair, LAPACK solves a matrix of
-    dimension up to ``DENSE_EIGEN_CUTOFF`` after all, with a warning; a
-    larger one gives ``(0.0, None)`` when singular at both shifts and raises
-    NumericalFailure when Lanczos did not converge.  Every event is logged.
+    unit vector): LAPACK where ``solves_densely`` says so, else ``_lanczos``
+    on the solves of the first factor on the ladder (symmetric, then partial
+    pivoting, at shift 0, then at a tiny jittered shift) whose pair converges
+    and meets its Rayleigh quotient within ``accuracy``.  Without one, LAPACK
+    solves a matrix of dimension up to ``DENSE_EIGEN_CUTOFF`` after all, with
+    a warning; a larger one raises NumericalFailure.  Every rung is logged.
     ``order``, if given, is `m`'s layout: `m` is ``A[order][:, order]``,
-    factored as laid out; `v` is A's.  ``accuracy`` lies in (0, 1e-2].
-    """
+    factored as laid out; `v` is A's.  ``accuracy`` lies in (0, 1e-2]."""
     _check_accuracy(accuracy)
     n = m.shape[0]
     if not solves_densely(n, sp.issparse(m)):
         ms = m if sp.issparse(m) and m.format == "csc" else sp.csc_matrix(m)
-        reason = "singular at both shifts"
-        for attempt in range(2):
-            sigma = 1e-10 * max(1.0, _norm_upper_bound(ms)) if attempt else 0.0
-            try:
-                return _shift_invert(ms, sigma, accuracy, order)
-            except NumericalFailure:
-                if n > DENSE_EIGEN_CUTOFF:
-                    raise
-                reason = f"no convergence at shift {sigma:.3g}"
-                break
-            except RuntimeError as exc:
-                _LOG.info("singular factorization at shift %.3g (dim %d): %s",
-                          sigma, n, exc)
+        dtype, sigma = np.result_type(ms.dtype, float), 0.0
+        symmetric = "symmetric factor, " + ("MMD_AT_PLUS_A" if order is None
+                                            else "pencil order")
+        for rung, path in enumerate((symmetric, "partial-pivoting factor") * 2):
+            if rung == 2:
+                sigma = 1e-10 * max(1.0, _norm_upper_bound(ms))
+            lu = _factor(ms, sigma, order, path == symmetric)
+            if lu is None:
+                continue
+            theta, v, steps, resid, ok = _lanczos(
+                lu.solve, n, dtype, accuracy, SHIFT_INVERT_MAX_STEPS,
+                vectors=True, order=order)
+            w = sigma + 1.0 / theta
+            err = abs(w - np.vdot(v, ms @ v).real)
+            _LOG.debug("shift-invert of dim %d at shift %.3g (%s): %d Lanczos "
+                       "steps, residual estimate %.3g%s", n, sigma, path, steps,
+                       resid, "" if ok else ", unconverged")
+            if ok and err <= accuracy * max(1.0, abs(w)):
+                return w, v if order is None else v[np.argsort(order)]
+            _LOG.info("%s at shift %.3g (dim %d) %s: |eigenvalue - "
+                      "Rayleigh quotient| = %.3g", path, sigma, n,
+                      "inaccurate" if ok else "gave no convergence", err)
         if n > DENSE_EIGEN_CUTOFF:
-            _LOG.info("matrix of dim %d is singular to working precision; "
-                      "nearest-zero eigenvalue reported as 0", n)
-            return 0.0, None
-        _LOG.warning("shift-invert on dim %d gave no eigenpairs (%s); dense "
-                     "eigendecomposition used", n, reason)
+            raise NumericalFailure("shift-invert did not converge on any "
+                                   "factor", details={"dim": n, "sigma": sigma})
+        _LOG.warning("shift-invert on dim %d gave no eigenpairs; dense "
+                     "eigendecomposition used", n)
+    return _eigh_nearest_zero(m, order)[1:]
+
+
+def _eigh_nearest_zero(m, order=None):
+    """LAPACK's spectrum of `m` and its eigenpair nearest 0, `v` in A's layout."""
     w, v = np.linalg.eigh(m.toarray() if sp.issparse(m) else m)
     i = np.argmin(np.abs(w))
-    return float(w[i]), v[:, i] if order is None else v[np.argsort(order), i]
+    return w, float(w[i]), v[:, i] if order is None else v[np.argsort(order), i]
 
 
 def count_below(m, s: float, order=None) -> int:
     """The number of eigenvalues of Hermitian `m` (in the layout ``order``)
     below ``s``: LAPACK's where ``solves_densely`` says so, else the negative
-    ``Re diag(U)`` of ``_symmetric_factor`` at ``s`` (Sylvester's law of
-    inertia).  Without that factor, or where it pivots off the diagonal,
-    LAPACK counts up to ``DENSE_EIGEN_CUTOFF``; a larger matrix raises."""
+    ``Re diag(U)`` of the symmetric ``_factor`` at ``s`` (Sylvester's law of
+    inertia).  Without it, or where it pivots off the diagonal, LAPACK counts
+    up to ``DENSE_EIGEN_CUTOFF``; a larger matrix raises."""
     n = m.shape[0]
     if not solves_densely(n, sp.issparse(m)):
-        with contextlib.suppress(RuntimeError):  # singular: no factor
-            lu = _symmetric_factor(sp.csc_matrix(m), s, order)
-            if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
-                return int(np.count_nonzero(lu.U.diagonal().real < 0))
+        lu = _factor(sp.csc_matrix(m), s, order, symmetric=True)
+        if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
+            return int(np.count_nonzero(lu.U.diagonal().real < 0))
         if n > DENSE_EIGEN_CUTOFF:
             raise NumericalFailure(f"no symmetric factor at shift {s!r} to "
                                    "count eigenvalues", details={"dim": n})

@@ -21,3 +21,15 @@ def _overlap_bound_check(a, v, w, lam, mu):
 def overlap_bound_check():
     """The overlap-lemma oracle (a test helper, not library API)."""
     return _overlap_bound_check
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Names of the dense eigensolver calls (``eigh``, ``eigvalsh``)."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def spy(m, _name=name, _orig=getattr(np.linalg, name)):
+            calls.append(_name)
+            return _orig(m)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls

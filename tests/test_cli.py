@@ -195,6 +195,35 @@ def test_sweep_pgm_and_epsilon(capsys, tmp_path):
     assert "sublevel epsilon=1.05" in out
 
 
+def test_pgm_of_a_1d_grid_is_refused_before_any_cell(capsys, tmp_path,
+                                                      monkeypatch):
+    from jointspec import sweep
+
+    calls = []
+    monkeypatch.setattr(sweep, "gap_values",
+                        lambda *args, **kwargs: calls.append(args))
+    code, out, err = run(capsys, "sweep", "--model", "ssh", "--grid",
+                         "x=0:9:5", "--kind", "quadratic",
+                         "--csv-out", str(tmp_path / "a.csv"),
+                         "--pgm-out", str(tmp_path / "a.pgm"))
+    assert code == 2 and "PGM preview requires a 2D grid" in err
+    assert out == "" and calls == [] and list(tmp_path.iterdir()) == []
+
+
+def test_outputs_honour_the_umask(capsys, tmp_path):
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, "sweep", "--model", "pauli_pair", "--grid",
+                         "x=-1:1:3,y=-1:1:3", "--csv-out",
+                         str(tmp_path / "g.csv"), "--pgm-out",
+                         str(tmp_path / "g.pgm"))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()} == {
+        "g.csv": 0o644, "g.pgm": 0o644}
+
+
 def test_flow_command(capsys, tmp_path):
     csv = tmp_path / "flow.csv"
     code, out, _ = run(capsys, "flow", "--model", "ssh-path",

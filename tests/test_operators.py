@@ -286,12 +286,16 @@ def test_shift_invert_step_cap_on_both_sides_of_dense_cutoff(monkeypatch,
     with pytest.raises(NumericalFailure, match="did not converge"):
         eigenpair_nearest_zero(big)
     small, e = known_spectrum(513)
-    with caplog.at_level(logging.WARNING, logger="jointspec"):
+    with caplog.at_level(logging.INFO, logger="jointspec"):
         w, _ = eigenpair_nearest_zero(small)
     assert abs(w - e[0]) <= 1e-12
-    assert [r.getMessage().split(";")[0] for r in caplog.records] == [
-        "shift-invert on dim 513 gave no eigenpairs (no convergence at shift "
-        "0)"]
+    # all four rungs run before the dense recovery, each with one record
+    messages = [r.getMessage() for r in caplog.records]
+    assert [m.split(" at shift")[0] for m in messages[:4]] == [
+        "symmetric factor, MMD_AT_PLUS_A", "partial-pivoting factor"] * 2
+    assert all("gave no convergence" in m for m in messages[:4])
+    assert [m.split(";")[0] for m in messages[4:]] == [
+        "shift-invert on dim 513 gave no eigenpairs"]
 
 
 def test_sparse_solves_call_no_eigsh(monkeypatch):
@@ -364,7 +368,7 @@ def pivot_off_the_diagonal():
     m = sp.block_diag([block, sp.diags(np.linspace(-3.0, 3.0, 598) + 0.0025)],
                       format="csc")
     order = np.arange(m.shape[0])
-    lu = operators._symmetric_factor(m, 0.0, order)
+    lu = operators._factor(m, 0.0, order, symmetric=True)
     assert not np.array_equal(lu.perm_r, lu.perm_c)
     return m, 0.0, order
 
@@ -378,3 +382,119 @@ def test_count_below_without_a_usable_factor(case, monkeypatch):
     monkeypatch.setattr(operators, "DENSE_EIGEN_CUTOFF", 550)
     with pytest.raises(NumericalFailure, match=repr(s)):
         operators.count_below(m, s, order)
+
+
+# -- the factor ladder of sparse solves ---------------------------------------
+
+
+@pytest.fixture
+def rungs(monkeypatch):
+    """The ladder rung of every splu call on ``rungs.base``: 1 and 2 the
+    symmetric and partial-pivoting factors at shift 0, 3 and 4 at the
+    jittered shift.  A rung in ``rungs.fail`` raises as exactly singular."""
+    import scipy.sparse.linalg as spla
+
+    class Rungs(list):
+        base, fail = None, ()
+
+    calls, splu = Rungs(), spla.splu
+
+    def spy(a, **kwargs):
+        symmetric = kwargs.get("options", {}).get("SymmetricMode", False)
+        shifted = (a.diagonal() != calls.base.diagonal()).any()
+        calls.append(1 + (not symmetric) + 2 * shifted)
+        if calls[-1] in calls.fail:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return calls
+
+
+def with_block(dim, block):
+    """``known_spectrum`` of dim - 2 with a 2x2 block in front."""
+    m, e = known_spectrum(dim - 2)
+    return sp.block_diag([np.array(block), m], format="csc"), e
+
+
+#: (dim, DENSE_EIGEN_CUTOFF): dense below SPARSE_EIGEN_CUTOFF, then the
+#: ladder with a dense recovery allowed, then without one
+SIDES = [(512, 4096), (513, 4096), (600, 550)]
+
+
+def ladder_solve(rungs, monkeypatch, m, dim, cutoff):
+    monkeypatch.setattr(operators, "DENSE_EIGEN_CUTOFF", cutoff)
+    rungs.base = m
+    return eigenpair_nearest_zero(m)
+
+
+@pytest.mark.parametrize("dim,cutoff", SIDES)
+def test_singular_at_zero_takes_the_jittered_rung(rungs, lapack_calls,
+                                                  monkeypatch, dim, cutoff):
+    # [[1, 1], [1, 1]] makes the matrix exactly singular: both factors at
+    # shift 0 fail, and the symmetric one at the jittered shift solves
+    m, _ = with_block(dim, [[1.0, 1.0], [1.0, 1.0]])
+    w, v = ladder_solve(rungs, monkeypatch, m, dim, cutoff)
+    assert abs(w) <= 1e-12 and np.linalg.norm(m @ v - w * v) <= 1e-12
+    if dim <= 512:
+        assert rungs == [] and lapack_calls == ["eigh"]
+    else:
+        assert rungs == [1, 2, 3] and lapack_calls == []
+
+
+@pytest.mark.parametrize("dim,cutoff", SIDES[1:])
+def test_singular_at_both_shifts(rungs, lapack_calls, monkeypatch, caplog,
+                                 dim, cutoff):
+    # dense recovery below DENSE_EIGEN_CUTOFF, NumericalFailure above
+    m, e = known_spectrum(dim)
+    rungs.fail = (1, 2, 3, 4)
+    with caplog.at_level(logging.INFO, logger="jointspec"):
+        if dim > cutoff:
+            with pytest.raises(NumericalFailure, match="any factor"):
+                ladder_solve(rungs, monkeypatch, m, dim, cutoff)
+        else:
+            assert ladder_solve(rungs, monkeypatch, m, dim, cutoff)[0] == \
+                pytest.approx(e[0], abs=1e-12)
+    assert rungs == [1, 2, 3, 4]
+    assert lapack_calls == ([] if dim > cutoff else ["eigh"])
+    messages = [r.getMessage() for r in caplog.records]
+    assert sum("singular factorization" in msg for msg in messages) == 4
+    assert sum("dense eigendecomposition" in msg
+               for msg in messages) == (dim <= cutoff)
+
+
+@pytest.mark.parametrize("dim,cutoff", SIDES[1:])
+def test_zero_diagonal_takes_rung_two(rungs, lapack_calls, monkeypatch,
+                                      caplog, dim, cutoff):
+    m, e = with_block(dim, [[0.0, 0.5], [0.5, 0.0]])
+    with caplog.at_level(logging.DEBUG, logger="jointspec"):
+        w, _ = ladder_solve(rungs, monkeypatch, m, dim, cutoff)
+    assert abs(w - e[0]) <= 1e-12
+    assert rungs == [2] and lapack_calls == []
+    skipped = [r for r in caplog.records
+               if "zero on the shifted diagonal" in r.getMessage()]
+    assert len(skipped) == 1 and skipped[0].levelno == logging.DEBUG
+
+
+@pytest.mark.parametrize("dim,cutoff", SIDES[1:])
+def test_singular_symmetric_factor_is_followed_at_the_same_shift(
+        rungs, lapack_calls, monkeypatch, caplog, dim, cutoff):
+    m, e = known_spectrum(dim)
+    rungs.fail = (1,)
+    with caplog.at_level(logging.INFO, logger="jointspec"):
+        w, _ = ladder_solve(rungs, monkeypatch, m, dim, cutoff)
+    assert abs(w - e[0]) <= 1e-12
+    assert rungs == [1, 2] and lapack_calls == []
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+        f"singular factorization at shift 0 (dim {dim})"]
+
+
+@pytest.mark.parametrize("block,ladder", [([[0.0, 0.5], [0.5, 0.0]], [2]),
+                                          ([[1.0, 1.0], [1.0, 1.0]], [1, 2, 3])])
+def test_repeated_ladder_solves_repeat_bytewise(rungs, monkeypatch, block,
+                                                ladder):
+    m, _ = with_block(600, block)
+    first = ladder_solve(rungs, monkeypatch, m, 600, 550)
+    again = ladder_solve(rungs, monkeypatch, m, 600, 550)
+    assert rungs == ladder * 2
+    assert first[0] == again[0] and first[1].tobytes() == again[1].tobytes()

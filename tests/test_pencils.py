@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 import jointspec.composites as composites
 import jointspec.operators as operators
+from jointspec.cli import main
 from jointspec.clifford import build_clifford
 from jointspec.composites import (ObservableTuple, Pencil, clifford_gap,
                                   localizer, localizer_pencil, quadratic_gap,
@@ -16,8 +17,8 @@ from jointspec.composites import (ObservableTuple, Pencil, clifford_gap,
 from jointspec.errors import NumericalFailure
 from jointspec.models import (build_chern2d, build_example, build_ssh,
                               scale_positions)
-from jointspec.operators import (HermitianOperator, eigenpair_nearest_zero,
-                                 solves_densely)
+from jointspec.operators import (HermitianOperator, StateVector,
+                                 eigenpair_nearest_zero, solves_densely)
 from jointspec.sweep import GridSpec, sweep_grid
 
 
@@ -331,14 +332,6 @@ def test_singular_matrix_path_is_logged(caplog):
     assert not caplog.records
 
 
-def plant(monkeypatch, exc):
-    """Make every shift-invert solve raise exc."""
-    def failing(*args, **kwargs):
-        raise exc
-
-    monkeypatch.setattr(operators, "_shift_invert", failing)
-
-
 @pytest.fixture
 def no_convergence(monkeypatch):
     """Cap shift-invert Lanczos at 2 steps, so no solve converges."""
@@ -347,7 +340,13 @@ def no_convergence(monkeypatch):
 
 @pytest.fixture
 def singular_twice(monkeypatch):
-    plant(monkeypatch, RuntimeError("Factor is exactly singular"))
+    """Make every sparse factor raise as exactly singular."""
+    import scipy.sparse.linalg as spla
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
 
 
 def fallback_warnings(caplog):
@@ -364,20 +363,29 @@ def test_singular_at_both_shifts_recovers_densely(singular_twice, caplog):
     assert len(fallback_warnings(caplog)) == 1
 
 
-def test_singular_above_dense_cutoff_reads_zero(singular_twice, monkeypatch,
-                                                caplog):
+def test_singular_above_dense_cutoff_fails(singular_twice, monkeypatch,
+                                           caplog):
+    # no factor and no dense recovery: every solve fails, a sweep lists its
+    # cells in failures and `gap` exits 3
     monkeypatch.setattr(operators, "DENSE_EIGEN_CUTOFF", 550)
+    t = chern_half(12)  # L dim 576
+    rep = build_clifford(3)
     with caplog.at_level(logging.INFO, logger="jointspec"):
-        w, v = eigenpair_nearest_zero(singular_diagonal())
-        t = chern_half(12)  # L dim 576
-        rep = build_clifford(3)
-        assert clifford_gap(t, [0.3, -0.2, 0.0], rep) == 0.0
-        assert quadratic_gap(sparse_pair(600, seed=3), [0.2, 0.1]) == 0.0
+        with pytest.raises(NumericalFailure):
+            eigenpair_nearest_zero(singular_diagonal())
+        with pytest.raises(NumericalFailure):
+            clifford_gap(t, [0.3, -0.2, 0.0], rep)
+        with pytest.raises(NumericalFailure):
+            quadratic_gap(sparse_pair(600, seed=3), [0.2, 0.1])
         with pytest.raises(NumericalFailure):
             composites.minimizing_state(sparse_pair(600, seed=3), [0.2, 0.1])
-    assert v is None and w == 0.0
-    assert any("reported as 0" in r.getMessage() for r in caplog.records)
+        grid = sweep_grid(t, GridSpec(axes=((0.3, 0.4, 2),),
+                                      fixed_coords={1: -0.2, 2: 0.0}),
+                          "clifford", rep=rep)
+    assert [f["index"] for f in grid.failures] == [[0], [1]]
     assert not fallback_warnings(caplog)
+    assert main(["gap", "--model", "chern2d", "--param", "nx=12", "--param",
+                 "ny=12", "--kappa", "0.5", "--lambda", "0.3,-0.2,0"]) == 3
 
 
 def test_no_convergence_recovers_densely(no_convergence, caplog):
@@ -546,6 +554,29 @@ def test_sparse_minimizing_state_matches_dense():
     rayleigh = np.vdot(state.vec, q @ state.vec).real
     assert abs(rayleigh - w[0]) <= 1e-9
     assert degenerate == (w[1] - w[0] <= composites.DEGENERACY_TOL)
+
+
+@pytest.mark.parametrize("nx", [12, 16])
+@pytest.mark.parametrize("kappa", [0.5, 1.0])
+def test_dense_minimizing_state_makes_one_lapack_call(lapack_calls, nx,
+                                                      kappa):
+    # Q of dim 288 and 512: the flag is read off the spectrum of the one
+    # eigh call and equals a separate eigvalsh count; mu^Q and the state
+    # are those of the eigenpair that eigh gives
+    t = scale_positions(build_chern2d(nx, nx), kappa)
+    assert quadratic_pencil(t).fmt == "dense"
+    for lam in ([3.0, 0.0, 0.0], [0.3, -0.2, 0.0]):
+        q = quadratic_pencil(t).at(lam)
+        w, v = eigenpair_nearest_zero(q)
+        s = w + composites.DEGENERACY_TOL * max(1.0, abs(w))
+        flag = np.count_nonzero(np.linalg.eigvalsh(q) < s) > 1
+        lapack_calls.clear()
+        state, degenerate, mu = composites.minimizing_state(t, lam)
+        assert lapack_calls == ["eigh"]
+        assert degenerate == flag
+        assert mu == composites._quadratic_value(
+            t, quadratic_pencil(t), lam, w, None, v)
+        assert state.vec.tobytes() == StateVector(v, normalize=True).vec.tobytes()
 
 
 def test_extract_state_factorizes_q_once(splu_calls, order_calls):
