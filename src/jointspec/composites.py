@@ -179,15 +179,15 @@ class Pencil:
     fill-reducing orders, one per set of terms a probe zeroes (``ordered``).
     """
 
-    __slots__ = ("dim", "fmt", "_base", "_indices", "_indptr", "_terms",
-                 "_orders", "_mortal")
+    __slots__ = ("dim", "fmt", "block", "_base", "_indices", "_indptr",
+                 "_terms", "_orders", "_mortal")
 
-    def __init__(self, dim, fmt, base, terms):
+    def __init__(self, dim, fmt, base, terms, block=1):
         """``fmt`` is "dense" or "csc"; ``base`` is a validated
         HermitianOperator in that format or None; ``terms`` holds
         ``(j, rows, cols, x, g)``, with ``g`` None for a square, in the
-        order they are added."""
-        self.dim, self.fmt = dim, fmt
+        order they are added; ``_order`` keeps blocks of ``block``."""
+        self.dim, self.fmt, self.block = dim, fmt, block
         keys = [self._keys(rows, cols) for _, rows, cols, _, _ in terms]
         if fmt == "dense":
             self._indices = self._indptr = None
@@ -262,24 +262,30 @@ class Pencil:
     def _order(self, dead):
         """The ``_SYMMETRIC_LU`` order of the base's entries and the terms of
         the coordinates not in ``dead``, read off an incomplete LU that drops
-        all fill, with the gather and CSC pattern of that order."""
-        n, start = self.dim, time.perf_counter()
+        all fill on the graph of blocks of ``block`` consecutive indices (each
+        kept in place), with the gather and CSC pattern of that order."""
+        n, b, start = self.dim, self.block, time.perf_counter()
         live = self._base != 0
         for j, pos, _, _ in self._terms:
             live[pos] |= j not in dead
         # each entry holds its place in the pattern, plus 1 (0 marks a dead one)
         m = self.matrix(np.where(live, np.arange(1.0, live.size + 1), 0)).copy()
         m.eliminate_zeros()
-        order = np.argsort(spla.spilu(
-            m.sign() + n * sp.identity(n, format="csc"), drop_tol=1.0,
-            fill_factor=1.0, **_SYMMETRIC_LU).perm_c)
+        k = n // b  # m's entries are positive: no block sum cancels
+        r = sp.kron(sp.identity(k), np.ones((1, b)), format="csc")
+        sites = np.argsort(spla.spilu(
+            (r @ m @ r.T).sign() + k * sp.identity(k, format="csc"),
+            drop_tol=1.0, fill_factor=1.0, **_SYMMETRIC_LU).perm_c)
+        order = (sites[:, None] * b + np.arange(b)).ravel()
         m = m[order][:, order]
         m.sort_indices()
         plan = order, (m.data - 1).astype(self._indices.dtype), m.indices, m.indptr
         for shared in plan:
             shared.flags.writeable = False
-        _LOG.debug("fill-reducing order of a dim %d pattern with %d entries: "
-                   "%.3g ms", n, m.nnz, 1e3 * (time.perf_counter() - start))
+        graph = f"site graph ({k} nodes, b = {b})" if b > 1 else "entry graph"
+        _LOG.debug("fill-reducing order of a dim %d pattern with %d entries on "
+                   "its %s: %.3g ms", n, m.nnz, graph,
+                   1e3 * (time.perf_counter() - start))
         return plan
 
 
@@ -308,7 +314,7 @@ def _affine_pencil(ops, gammas, fmt) -> Pencil:
                   shift + lin)
 
 
-def _quadratic_pencil(ops, fmt) -> Pencil:
+def _quadratic_pencil(ops, fmt, block) -> Pencil:
     """sum_j (X_j - lam_j)^2 = sum_j X_j^2 - 2 lam_j X_j + lam_j^2."""
     n = ops[0].dim
     diag = np.arange(n)
@@ -323,7 +329,7 @@ def _quadratic_pencil(ops, fmt) -> Pencil:
         lin.append((j, rows, cols, 0.0, 2.0 * vals))
         sq.append((j, diag, diag, 0.0, None))
     return Pencil(n, fmt, None if base is None else HermitianOperator(base),
-                  shift + lin + sq)
+                  shift + lin + sq, block)
 
 
 def _cached(t: ObservableTuple, key, build) -> Pencil:
@@ -338,9 +344,11 @@ def _solver_format(t: ObservableTuple, dim: int) -> str:
 
 
 def quadratic_pencil(t: ObservableTuple) -> Pencil:
-    """Pencil of Q, built on first use and cached on the tuple."""
+    """Pencil of Q, built on first use and cached on the tuple; ordered on
+    the graph of sites where ``t.meta`` has ``orbitals`` dividing the dim."""
+    b = int(t.meta.get("orbitals", 1))
     return _cached(t, "Q", lambda: _quadratic_pencil(
-        t.ops, _solver_format(t, t.dim)))
+        t.ops, _solver_format(t, t.dim), b if b > 0 and t.dim % b == 0 else 1))
 
 
 def localizer_pencil(t: ObservableTuple, rep: CliffordRep) -> Pencil:

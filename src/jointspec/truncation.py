@@ -119,6 +119,20 @@ def distance_operator(t: ObservableTuple) -> HermitianOperator:
     return HermitianOperator((vecs * np.sqrt(vals)) @ vecs.conj().T)
 
 
+def _scaled_norm(t: ObservableTuple, mid) -> float:
+    """|| Z^(-1) mid Z^(-1) ||; a diagonal Z scales a fresh ``mid`` in place."""
+    z = distance_operator(t)
+    if not z.is_diagonal:
+        zinv = np.linalg.inv(z.dense())
+        mid = zinv @ (mid.toarray() if sp.issparse(mid) else mid) @ zinv
+    elif sp.issparse(mid):
+        zinv, mid = 1.0 / z.diagonal().real, mid.tocsr()
+        mid.data *= np.repeat(zinv, np.diff(mid.indptr)) * zinv[mid.indices]
+    else:
+        mid *= np.outer(1.0 / z.diagonal().real, 1.0 / z.diagonal().real)
+    return float(operator_norm(mid))
+
+
 def perturbation_constant(t: ObservableTuple, h: HermitianOperator,
                           h0: HermitianOperator) -> float:
     """C = || Z^(-1) (H H0 + H0 H + H0^2) Z^(-1) ||.
@@ -129,19 +143,8 @@ def perturbation_constant(t: ObservableTuple, h: HermitianOperator,
     """
     if h.dim != t.dim or h0.dim != t.dim:
         raise DimensionMismatch("H and H0 must match the observable dimension")
-    z = distance_operator(t)
     hm, h0m = h.mat, h0.mat
-    mid = hm @ h0m + h0m @ hm + h0m @ h0m
-    if z.is_diagonal:
-        zinv = 1.0 / z.diagonal().real
-        if sp.issparse(mid):
-            mid = sp.diags(zinv) @ mid @ sp.diags(zinv)
-        else:
-            mid = mid * np.outer(zinv, zinv)
-    else:
-        zinv_mat = np.linalg.inv(z.dense())
-        mid = zinv_mat @ (mid.toarray() if sp.issparse(mid) else mid) @ zinv_mat
-    return float(operator_norm(mid))
+    return _scaled_norm(t, hm @ h0m + h0m @ hm + h0m @ h0m)
 
 
 def modified_gap_bounds(t: ObservableTuple, h0: HermitianOperator,
@@ -184,12 +187,6 @@ def compress_to_ball(t: ObservableTuple, rho: float):
             keep)
 
 
-def _far_field_zeroing(h, keep, dim):
-    """H0 = -(H - P H P): cancels every entry of H touching the far field."""
-    proj = sp.diags(np.isin(np.arange(dim), keep).astype(float), format="csr")
-    return HermitianOperator(proj @ h.mat @ proj - h.mat)
-
-
 def truncated_gap(t: ObservableTuple, rho: float, accuracy: float = 1e-9,
                   mu_full: Optional[float] = None):
     """Quadratic gap at probe zero from the radius-rho ball alone.
@@ -199,11 +196,14 @@ def truncated_gap(t: ObservableTuple, rho: float, accuracy: float = 1e-9,
     min(rho, compressed gap) together with the certificate; the certificate's
     ``full_gap_interval`` brackets the untruncated gap whenever C < 1.
     """
-    h = t.hamiltonian
-    # H + H0 = P H P equals H on the ball, so compressing t is compressing
-    # the zeroed tuple
+    h = t.hamiltonian.mat
+    # H0 = PHP - H for the projection P onto the ball: H + H0 = PHP equals H
+    # on the ball, so compressing t is compressing the zeroed tuple, and
+    # H H0 + H0 H + H0^2 = (PHP)^2 - H^2
     compressed, keep = compress_to_ball(t, rho)
-    c = perturbation_constant(t, h, _far_field_zeroing(h, keep, t.dim))
+    proj = sp.diags(np.isin(np.arange(t.dim), keep).astype(float))
+    php = proj @ h @ proj  # no stored entry outside ball x ball
+    c = _scaled_norm(t, php @ php - h @ h)
     mu_comp = quadratic_gap(compressed, np.zeros(t.d_total), accuracy=accuracy)
     value = float(min(rho, mu_comp))
     return value, TruncationCertificate(rho=float(rho), C=c,

@@ -674,6 +674,23 @@ def fill(m, permc_spec):
     return lu.L.nnz + lu.U.nnz
 
 
+def quotient_mmd_order(m, b):
+    """SuperLU's MMD order, from its full symmetric factor, of the graph of
+    the blocks of b consecutive indices of m's nonzero pattern, each block
+    kept in place (b = 1: the graph of m's entries)."""
+    import scipy.sparse.linalg as spla
+
+    m = sp.csc_matrix(m, copy=True)
+    m.eliminate_zeros()
+    k = m.shape[0] // b
+    r = sp.kron(sp.identity(k), np.ones((1, b)), format="csc")
+    graph = (r @ abs(m) @ r.T).sign() + k * sp.identity(k, format="csc")
+    sites = np.argsort(spla.splu(sp.csc_matrix(graph),
+                                 permc_spec="MMD_AT_PLUS_A",
+                                 **SYMMETRIC_FACTOR).perm_c)
+    return (sites[:, None] * b + np.arange(b)).ravel()
+
+
 @pytest.mark.parametrize("nx,kind", [(12, "L"), (20, "Q"), (20, "L")])
 @pytest.mark.parametrize("energy", [0.0, 0.3])
 def test_ordered_solve_equals_the_mmd_solve(nx, kind, energy):
@@ -689,9 +706,13 @@ def test_ordered_solve_equals_the_mmd_solve(nx, kind, energy):
     assert sorted(order) == list(range(pencil.dim))
     np.testing.assert_array_equal(
         ordered.toarray(), m.toarray()[np.ix_(order, order)])
-    # the pencil's order is MMD's: the same fill as SuperLU's own ordering
-    assert abs(fill(ordered, "NATURAL") - fill(m, "MMD_AT_PLUS_A")) \
-        <= 1e-3 * fill(m, "MMD_AT_PLUS_A")
+    if kind == "Q":
+        # Q's order is MMD's on its graph of sites (2 orbitals each)
+        assert np.array_equal(order, quotient_mmd_order(m, 2))
+    else:
+        # L's order is MMD's: the same fill as SuperLU's own ordering
+        assert abs(fill(ordered, "NATURAL") - fill(m, "MMD_AT_PLUS_A")) \
+            <= 1e-3 * fill(m, "MMD_AT_PLUS_A")
     w, v = eigenpair_nearest_zero(ordered, order=order)
     ref, _ = eigenpair_nearest_zero(m)
     assert abs(w - ref) <= 1e-12 * abs(ref)
@@ -765,12 +786,16 @@ def test_row_sweep_orders_each_pattern_once(monkeypatch, caplog):
         for kind in ("quadratic", "clifford"):
             grid = sweep_grid(t, spec, kind, rep=rep)
             assert not grid.failures
-    assert calls == [800, 1600]
+    # Q is ordered on its 400 sites, L on its entries
+    assert calls == [400, 1600]
     orders = [r.getMessage() for r in caplog.records
               if "fill-reducing order" in r.getMessage()]
     assert len(orders) == 2
-    assert "dim 800 pattern with 9760 entries" in orders[0]
-    assert orders[0].endswith(" ms")
+    assert "dim 800 pattern with 9760 entries on its site graph " \
+        "(400 nodes, b = 2): " in orders[0]
+    assert "dim 1600 pattern with" in orders[1]
+    assert "entries on its entry graph: " in orders[1]
+    assert all(o.endswith(" ms") for o in orders)
 
 
 @pytest.mark.parametrize("energy", [0.0, 0.3])
@@ -832,6 +857,53 @@ def test_one_order_per_term_set(order_calls):
     assert order_calls == [(800, []), (800, [2])]
 
 
+@pytest.mark.parametrize("kappa,nx", [(0.5, 20), (0.5, 40), (1.0, 40)])
+@pytest.mark.parametrize("energy", [0.0, 0.3])
+def test_q_order_is_the_site_graph_order(kappa, nx, energy):
+    t = scale_positions(build_chern2d(nx, nx), kappa)
+    pencil = quadratic_pencil(t)
+    lam = [0.3, -0.2, energy]
+    ordered, order = pencil.ordered(lam)
+    assert pencil.block == 2
+    assert np.array_equal(order, quotient_mmd_order(pencil.at(lam), 2))
+    # every site's two orbitals stay together and in place
+    assert np.array_equal(order[1::2], order[::2] + 1)
+    assert not (order[::2] % 2).any()
+
+
+def sparse_copy(t, meta):
+    return ObservableTuple([sp.csr_matrix(o.mat) for o in t.ops],
+                           commuting_prefix=t.commuting_prefix, meta=meta)
+
+
+@pytest.mark.parametrize("case", ["chern L", "ssh", "explicit", "orbitals 3"])
+def test_entry_graph_orders_are_kept(case):
+    # L (whose Clifford components couple only on site), SSH (one orbital),
+    # a tuple without orbitals and one whose orbitals do not divide its
+    # dimension are ordered on their entries, as before site graphs: the
+    # MMD order of SuperLU's own symmetric factor
+    from jointspec.models import LatticeModelSpec
+
+    chern = chern_half(20)
+    lams = ([0.3, -0.2, 0.0], [0.3, -0.2, 0.3])
+    if case == "chern L":
+        pencil = localizer_pencil(chern, build_clifford(3))
+    elif case == "ssh":
+        ssh = build_ssh(300, 0.7, 1.4)
+        pencil = quadratic_pencil(sparse_copy(ssh, ssh.meta))
+        lams = ([300.3, 0.0], [300.3, 0.3])
+    elif case == "explicit":
+        spec = LatticeModelSpec("explicit", explicit_matrices=[
+            o.mat for o in chern.ops], commuting_prefix=2)
+        pencil = quadratic_pencil(spec.build())
+    else:
+        pencil = quadratic_pencil(sparse_copy(chern, {"orbitals": 3}))
+    assert pencil.fmt == "csc" and pencil.block == 1
+    for lam in lams:
+        order = pencil.ordered(lam)[1]
+        assert np.array_equal(order, quotient_mmd_order(pencil.at(lam), 1))
+
+
 # -- eigenvalue counts on the Chern composites --------------------------------
 
 
@@ -854,7 +926,27 @@ def test_count_below_matches_dense_on_chern(kind, monkeypatch):
         assert operators.count_below(ordered, s, order) == i
 
 
+@pytest.mark.parametrize("nx", [16, 17])
+def test_count_below_on_site_ordered_q(nx, monkeypatch):
+    # Q of dim 512 (dense, LAPACK's count) and 578 (sparse, the count of
+    # the symmetric factor in the site graph's order, where the lowered
+    # cutoff leaves no dense count) at three shifts, as in the test above
+    if nx == 17:
+        monkeypatch.setattr(operators, "DENSE_EIGEN_CUTOFF", 500)
+    t = chern_half(nx)
+    pencil = quadratic_pencil(t)
+    assert pencil.fmt == ("dense" if nx == 16 else "csc")
+    ordered, order = pencil.ordered([1.1, 2.3, 0.2])
+    assert (order is None) == (nx == 16)
+    ev = dense_spectrum(ordered)
+    for start in (1, len(ev) // 4, len(ev) // 2):
+        i = start + np.argmax(np.diff(ev[start - 1:start + 20]))
+        s = (ev[i - 1] + ev[i]) / 2
+        assert operators.count_below(ordered, s, order) == i
+
+
 def test_sparse_state_repeats_bytewise():
+    # Q of dim 800 in its site graph's order; the flag is the dense rule's
     from jointspec.models import ScaledTuple
     from jointspec.states import extract_state
 
@@ -864,3 +956,7 @@ def test_sparse_state_repeats_bytewise():
             for _ in range(2))
     assert a.state.vec.tobytes() == b.state.vec.tobytes()
     assert a.mu_q == b.mu_q and a.degenerate == b.degenerate
+    w = np.linalg.eigvalsh(direct_q(scale_positions(base, 0.5),
+                                    [1.75, 0.0, 0.0]))
+    s = w[0] + composites.DEGENERACY_TOL * max(1.0, abs(w[0]))
+    assert a.degenerate == (np.count_nonzero(w < s) > 1)

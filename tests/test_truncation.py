@@ -11,10 +11,10 @@ from jointspec.errors import (CTooLarge, EmptyBall, ParameterOutOfRange,
                               ZNotInvertible)
 from jointspec.models import build_chern2d, build_ssh
 from jointspec.operators import HermitianOperator, operator_norm
-from jointspec.truncation import (TruncationCertificate, _far_field_zeroing,
-                                  compress_to_ball, distance_operator,
-                                  modified_gap_bounds, perturbation_constant,
-                                  shift_to_origin, truncated_gap)
+from jointspec.truncation import (TruncationCertificate, compress_to_ball,
+                                  distance_operator, modified_gap_bounds,
+                                  perturbation_constant, shift_to_origin,
+                                  truncated_gap)
 
 rng = np.random.default_rng(23)
 
@@ -156,9 +156,15 @@ def test_truncated_gap_certificate_brackets_full(tmp_path):
     assert path.exists()
 
 
+def _far_field_zeroing(h, keep, dim):
+    """H0 = -(H - P H P): cancels every entry of H touching the far field."""
+    proj = sp.diags(np.isin(np.arange(dim), keep).astype(float), format="csr")
+    return HermitianOperator(proj @ h.mat @ proj - h.mat)
+
+
 def zeroed_then_compressed(t, rho):
     """The ladder rung computed by zeroing the far field of H on the full
-    lattice and compressing the zeroed tuple."""
+    lattice and compressing the zeroed tuple, with that zeroing H0."""
     h = t.ops[-1]
     _, keep = compress_to_ball(t, rho)
     h0 = _far_field_zeroing(h, keep, t.dim)
@@ -167,7 +173,7 @@ def zeroed_then_compressed(t, rho):
         commuting_prefix=t.commuting_prefix, meta=t.meta)
     compressed, _ = compress_to_ball(zeroed, rho)
     mu = quadratic_gap(compressed, np.zeros(t.d_total))
-    return float(min(rho, mu)), perturbation_constant(t, h, h0)
+    return float(min(rho, mu)), h0
 
 
 @pytest.mark.parametrize("model,lam,rhos", [
@@ -175,11 +181,22 @@ def zeroed_then_compressed(t, rho):
     (build_chern2d(20, 20), [0.3, 0.2, 0.1], (2.0, 5.0, 10.0)),
 ])
 def test_ladder_equals_compressed_zeroed_tuple(model, lam, rhos):
-    # H + H0 = P H P equals H on the ball, so the rung needs no zeroed tuple
+    # H + H0 = P H P equals H on the ball, so the rung needs no zeroed tuple;
+    # its C, from (PHP)^2 - H^2, is the perturbation constant of that H0 up
+    # to rounding, and the dense spectral norm of its definition
     shifted = shift_to_origin(model, lam)
+    h = shifted.ops[-1]
+    zinv = np.diag(1.0 / distance_operator(shifted).diagonal().real)
     for rho in rhos:
         value, cert = truncated_gap(shifted, rho)
-        assert (value, cert.C) == zeroed_then_compressed(shifted, rho)
+        ref, h0 = zeroed_then_compressed(shifted, rho)
+        assert value == ref
+        c = perturbation_constant(shifted, h, h0)
+        assert abs(cert.C - c) <= 1e-14 * c
+        hm, h0m = h.dense(), h0.dense()
+        dense = np.linalg.norm(
+            zinv @ (hm @ h0m + h0m @ hm + h0m @ h0m) @ zinv, 2)
+        assert abs(cert.C - dense) <= 1e-12 * dense
 
 
 def test_chern_commutator_bound_matches_dense_norm():
