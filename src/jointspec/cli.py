@@ -117,7 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--model-config", default=None,
                         help="model config file (key=value text or .json)")
         sp.add_argument("--kappa", type=float, default=1.0,
-                        help="scale applied to the position block")
+                        help="position-block scale; probes are in scaled "
+                             "units, but states reads --lambda unscaled")
         sp.add_argument("--param", action="append", default=[],
                         metavar="KEY=VAL", help="model parameter override")
 

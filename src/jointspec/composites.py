@@ -138,10 +138,6 @@ class ObservableTuple:
         return self.ops[0].dim
 
     @property
-    def is_sparse(self) -> bool:
-        return any(o.is_sparse for o in self.ops)
-
-    @property
     def positions(self) -> tuple:
         """The commuting position block."""
         if self.commuting_prefix < 1:
@@ -165,7 +161,7 @@ class Pencil:
     """A composite operator as a function of the probe, built once per model.
 
     Its value at lam is an array over a fixed pattern (a flattened dense
-    matrix, or the data of a CSC matrix):
+    matrix where ``solves_densely(dim)``, else the data of a CSC matrix):
 
         values(lam) = base + sum over terms of (x - lam_j) g  or  (x - lam_j)^2
 
@@ -182,14 +178,14 @@ class Pencil:
     __slots__ = ("dim", "fmt", "block", "_base", "_indices", "_indptr",
                  "_terms", "_orders", "_mortal")
 
-    def __init__(self, dim, fmt, base, terms, block=1):
-        """``fmt`` is "dense" or "csc"; ``base`` is a validated
-        HermitianOperator in that format or None; ``terms`` holds
+    def __init__(self, dim, base, terms, block=1):
+        """``base`` is a validated HermitianOperator or None; ``terms`` holds
         ``(j, rows, cols, x, g)``, with ``g`` None for a square, in the
         order they are added; ``_order`` keeps blocks of ``block``."""
-        self.dim, self.fmt, self.block = dim, fmt, block
+        self.dim, self.block = dim, block
+        self.fmt = "dense" if solves_densely(dim) else "csc"
         keys = [self._keys(rows, cols) for _, rows, cols, _, _ in terms]
-        if fmt == "dense":
+        if self.fmt == "dense":
             self._indices = self._indptr = None
             self._base = (np.zeros(dim * dim, dtype=complex) if base is None
                           else np.ravel(base.dense()))
@@ -211,8 +207,11 @@ class Pencil:
                 self._base[keys.pop()] = vals
         self._terms = [(j, pos, x, g)
                        for (j, _, _, x, g), pos in zip(terms, keys)]
+        held = self._base != 0  # and below, entries no probe can zero
+        for _, pos, x, _ in self._terms:
+            held[pos] |= np.ndim(x) > 0
         self._mortal = frozenset(j for j, pos, x, _ in self._terms
-                                 if np.ndim(x) == 0 and not self._base[pos].all())
+                                 if np.ndim(x) == 0 and not held[pos].all())
         self._orders = {}
 
     def _keys(self, rows, cols):
@@ -296,7 +295,16 @@ def _coo(m):
     return c.row, c.col, c.data
 
 
-def _affine_pencil(ops, gammas, fmt) -> Pencil:
+def _for_products(ops) -> list:
+    """ops' matrices in CSR above ``SPARSE_EIGEN_CUTOFF``, unless a dense-stored
+    one's CSR square takes over n^2 multiply-adds (its squared row counts)."""
+    n = ops[0].dim
+    rows = (np.count_nonzero(o.mat, axis=1) for o in ops if not o.is_sparse)
+    dense = solves_densely(n) or any(r @ r > n * n for r in rows)
+    return [o.mat if dense else sp.csr_matrix(o.mat) for o in ops]
+
+
+def _affine_pencil(ops, gammas) -> Pencil:
     """sum_j (X_j - lam_j) (x) Gamma_j."""
     n = ops[0].dim
     base, shift, lin = None, [], []
@@ -310,25 +318,24 @@ def _affine_pencil(ops, gammas, fmt) -> Pencil:
         base = term if base is None else base + term
         lin.append((j, rows, cols, 0.0, gv))
     dim = n * gammas[0].shape[0]
-    return Pencil(dim, fmt, None if base is None else HermitianOperator(base),
+    return Pencil(dim, None if base is None else HermitianOperator(base),
                   shift + lin)
 
 
-def _quadratic_pencil(ops, fmt, block) -> Pencil:
+def _quadratic_pencil(ops, block) -> Pencil:
     """sum_j (X_j - lam_j)^2 = sum_j X_j^2 - 2 lam_j X_j + lam_j^2."""
     n = ops[0].dim
     diag = np.arange(n)
     base, shift, lin, sq = None, [], [], []
-    for j, o in enumerate(ops):
+    for j, (o, m) in enumerate(zip(ops, _for_products(ops))):
         if o.is_diagonal:
             shift.append((j, diag, diag, o.diagonal().real, None))
             continue
-        m = o.mat
         base = m @ m if base is None else base + m @ m
         rows, cols, vals = _coo(m)
         lin.append((j, rows, cols, 0.0, 2.0 * vals))
         sq.append((j, diag, diag, 0.0, None))
-    return Pencil(n, fmt, None if base is None else HermitianOperator(base),
+    return Pencil(n, None if base is None else HermitianOperator(base),
                   shift + lin + sq, block)
 
 
@@ -339,16 +346,12 @@ def _cached(t: ObservableTuple, key, build) -> Pencil:
     return t._pencils[key]
 
 
-def _solver_format(t: ObservableTuple, dim: int) -> str:
-    return "dense" if solves_densely(dim, t.is_sparse) else "csc"
-
-
 def quadratic_pencil(t: ObservableTuple) -> Pencil:
     """Pencil of Q, built on first use and cached on the tuple; ordered on
     the graph of sites where ``t.meta`` has ``orbitals`` dividing the dim."""
     b = int(t.meta.get("orbitals", 1))
     return _cached(t, "Q", lambda: _quadratic_pencil(
-        t.ops, _solver_format(t, t.dim), b if b > 0 and t.dim % b == 0 else 1))
+        t.ops, b if b > 0 and t.dim % b == 0 else 1))
 
 
 def localizer_pencil(t: ObservableTuple, rep: CliffordRep) -> Pencil:
@@ -356,8 +359,7 @@ def localizer_pencil(t: ObservableTuple, rep: CliffordRep) -> Pencil:
     if rep.d != t.d_total:
         raise RepMismatch(f"representation has d={rep.d}, tuple has d={t.d_total}")
     key = ("L",) + tuple(g.tobytes() for g in rep.gammas)
-    return _cached(t, key, lambda: _affine_pencil(
-        t.ops, rep.gammas, _solver_format(t, t.dim * rep.rep_dim)))
+    return _cached(t, key, lambda: _affine_pencil(t.ops, rep.gammas))
 
 
 def shifted_observables(t: ObservableTuple, lam) -> list:
@@ -411,9 +413,8 @@ def _checked_probe(t: ObservableTuple, lam) -> ProbePoint:
 def tall_composite(t: ObservableTuple, lam) -> np.ndarray:
     """Vertical stack of (X_j - lam_j I), shape (d*n, n)."""
     blocks = [o.mat for o in shifted_observables(t, lam)]
-    if t.is_sparse:
-        return sp.vstack([sp.csr_matrix(b) for b in blocks], format="csr")
-    return np.vstack(blocks)
+    return (sp.vstack([sp.csr_matrix(b) for b in blocks], format="csr")
+            if any(o.is_sparse for o in t.ops) else np.vstack(blocks))
 
 
 def quadratic_operator(t: ObservableTuple, lam) -> HermitianOperator:
@@ -561,12 +562,10 @@ def clifford_gap(t: ObservableTuple, lam, rep: CliffordRep,
 
 def commutator_bound(t: ObservableTuple) -> float:
     """sum_{j<k} ||[X_j, X_k]||, the gap-difference bound."""
-    total = 0.0
-    for j, k in itertools.combinations(range(t.d_total), 2):
-        if k >= t.commuting_prefix:  # the commuting block's pairs give 0
-            a, b = t.ops[j].mat, t.ops[k].mat
-            total += operator_norm(a @ b - b @ a)
-    return total
+    m = _for_products(t.ops)  # the commuting block's pairs give 0: skipped
+    return sum((operator_norm(m[j] @ m[k] - m[k] @ m[j])
+                for j, k in itertools.combinations(range(t.d_total), 2)
+                if k >= t.commuting_prefix), 0.0)
 
 
 def commutator_bound_2d(t: ObservableTuple) -> float:
@@ -577,7 +576,7 @@ def commutator_bound_2d(t: ObservableTuple) -> float:
     """
     if t.d_total != 3 or t.commuting_prefix < 2:
         raise DimensionMismatch("2-d bound needs (X, Y, H) with commuting X, Y")
-    x, y, h = (o.mat for o in t.ops)
+    x, y, h = _for_products(t.ops)
     a = x + 1j * y
     return operator_norm(h @ a - a @ h)
 

@@ -24,9 +24,9 @@ from .errors import (
 )
 
 HERMITICITY_RTOL = 1e-12
-#: largest dimension of a sparse matrix that is still solved densely
+#: largest dimension solved by LAPACK, whatever the storage
 SPARSE_EIGEN_CUTOFF = 512
-#: largest dimension of a dense matrix that is solved densely
+#: largest dimension LAPACK takes where the factor ladder gives no answer
 DENSE_EIGEN_CUTOFF = 4096
 #: seed of the Lanczos start vectors, so repeated solves give identical bytes
 START_VECTOR_SEED = 20220421
@@ -60,9 +60,7 @@ def _as_matrix(a):
     """Return the raw matrix behind `a` (HermitianOperator, ndarray or sparse)."""
     if isinstance(a, HermitianOperator):
         return a.mat
-    if sp.issparse(a):
-        return a
-    return np.asarray(a)
+    return a if sp.issparse(a) else np.asarray(a)
 
 
 def _check_finite(m):
@@ -203,11 +201,10 @@ def _check_dims(a: HermitianOperator, v: StateVector):
 # spectral primitives
 
 
-def solves_densely(dim: int, sparse: bool) -> bool:
-    """The one dense/sparse decision: LAPACK for dense matrices up to
-    ``DENSE_EIGEN_CUTOFF`` and sparse ones up to ``SPARSE_EIGEN_CUTOFF``,
-    shift-invert Lanczos above."""
-    return dim <= (SPARSE_EIGEN_CUTOFF if sparse else DENSE_EIGEN_CUTOFF)
+def solves_densely(dim: int) -> bool:
+    """The one dense/sparse decision: LAPACK up to ``SPARSE_EIGEN_CUTOFF``,
+    shift-invert Lanczos above, whatever the matrix's storage."""
+    return dim <= SPARSE_EIGEN_CUTOFF
 
 
 def start_vector(n: int) -> np.ndarray:
@@ -285,15 +282,16 @@ def _lanczos(apply, n, dtype, rtol, max_steps, vectors=False, order=None):
 
 def operator_norm(a) -> float:
     """Largest singular value of `a` (HermitianOperator, ndarray or sparse):
-    LAPACK for dense inputs, ``_lanczos`` on the smaller Gram matrix
-    (``m^H m``, or ``m m^H`` when `m` is wide) at ``NORM_RTOL`` for sparse
-    ones, with one DEBUG record of the shape, steps and residual estimate.
+    LAPACK where ``solves_densely(min(m.shape))`` for a dense `m`, else
+    ``_lanczos`` on the smaller Gram matrix (``m^H m``, or ``m m^H`` when
+    `m` is wide) at ``NORM_RTOL``, with one DEBUG record of the shape, steps
+    and residual estimate.
     """
     m = _as_matrix(a)
     _check_finite(m)
     if min(m.shape) == 0:
         return 0.0
-    if sp.issparse(m):
+    if sp.issparse(m) or not solves_densely(min(m.shape)):
         shape, mh = m.shape, m.conj().T
         if m.shape[1] > m.shape[0]:
             m, mh = mh, m
@@ -303,7 +301,7 @@ def operator_norm(a) -> float:
         if not ok:
             raise NumericalFailure("Lanczos did not converge for operator "
                                    "norm", details={"shape": shape})
-        _LOG.debug("operator norm of %dx%d sparse matrix: %d Lanczos steps, "
+        _LOG.debug("operator norm of %dx%d matrix: %d Lanczos steps, "
                    "residual estimate %.3g", *shape, steps, resid)
         return float(np.sqrt(theta))
     if min(m.shape) == 1:
@@ -347,7 +345,7 @@ def eigenpair_nearest_zero(m, accuracy: float = 1e-9, order=None):
     factored as laid out; `v` is A's.  ``accuracy`` lies in (0, 1e-2]."""
     _check_accuracy(accuracy)
     n = m.shape[0]
-    if not solves_densely(n, sp.issparse(m)):
+    if not solves_densely(n):
         ms = m if sp.issparse(m) and m.format == "csc" else sp.csc_matrix(m)
         dtype, sigma = np.result_type(ms.dtype, float), 0.0
         symmetric = "symmetric factor, " + ("MMD_AT_PLUS_A" if order is None
@@ -393,7 +391,7 @@ def count_below(m, s: float, order=None) -> int:
     inertia).  Without it, or where it pivots off the diagonal, LAPACK counts
     up to ``DENSE_EIGEN_CUTOFF``; a larger matrix raises."""
     n = m.shape[0]
-    if not solves_densely(n, sp.issparse(m)):
+    if not solves_densely(n):
         lu = _factor(sp.csc_matrix(m), s, order, symmetric=True)
         if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
             return int(np.count_nonzero(lu.U.diagonal().real < 0))

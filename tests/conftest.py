@@ -33,3 +33,13 @@ def lapack_calls(monkeypatch):
             return _orig(m)
         monkeypatch.setattr(np.linalg, name, spy)
     return calls
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """Fail on any dense eigendecomposition."""
+    def forbidden(m):
+        raise AssertionError(f"dense solve of dim {m.shape[0]}")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)

@@ -355,6 +355,22 @@ def test_states_ladder_overrides_kappa(capsys):
     assert code == 0 and with_kappa == plain
 
 
+def test_kappa_probe_units_of_gap_and_states(capsys, tmp_path):
+    # gap reads --lambda in kappa-scaled units and states unscaled: at
+    # kappa = 0.5 the probe 1.5 of gap is the probe 3 of states
+    model = ("--model", "chern2d", "--param", "nx=12", "--param", "ny=12",
+             "--kappa", "0.5")
+    gap, state = tmp_path / "gap.json", tmp_path / "state.json"
+    code, _, _ = run(capsys, "gap", *model, "--lambda", "1.5,0,0",
+                     "--kind", "quadratic", "--json-out", str(gap))
+    assert code == 0
+    code, _, _ = run(capsys, "states", *model, "--lambda", "3,0,0",
+                     "--json-out", str(state))
+    assert code == 0
+    assert json.loads(state.read_text())["mu_q"] == pytest.approx(
+        json.loads(gap.read_text())["mu_q"], rel=1e-12, abs=0)
+
+
 def test_gap_clifford_kind_json(capsys, tmp_path):
     out_path = tmp_path / "gap.json"
     code, out, _ = run(capsys, "gap", "--model", "ssh", "--lambda", "3,0.2",

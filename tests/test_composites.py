@@ -117,6 +117,21 @@ def test_commutator_bound_2d_tighter_form():
     assert np.isclose(commutator_bound_2d(pair), direct)
 
 
+@pytest.mark.parametrize("n,same_bytes", [(16, False), (17, True)])
+def test_dense_stored_commutator_bounds_on_both_sides_of_512(n, same_bytes):
+    # above dim 512 a dense-stored tuple of sparse fill forms its
+    # commutators in CSR and gets the sparse tuple's Lanczos norm, bytes
+    # included; at or below it keeps its dense products and LAPACK's norm
+    sparse = build_chern2d(n, n)
+    dense = ObservableTuple([o.dense() for o in sparse.ops],
+                            commuting_prefix=2)
+    for bound in (commutator_bound, commutator_bound_2d):
+        if same_bytes:
+            assert bound(dense) == bound(sparse)
+        else:
+            assert bound(dense) == pytest.approx(bound(sparse), rel=1e-12)
+
+
 def test_minimizing_state_residual():
     t = random_tuple(2, 8, seed=4)
     lam = [0.2, 0.1]

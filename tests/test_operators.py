@@ -86,6 +86,16 @@ def test_operator_norm_matches_numpy():
     assert np.isclose(operator_norm(s), np.linalg.norm(a, 2), rtol=1e-8)
 
 
+def test_operator_norm_of_a_dense_matrix_above_512(caplog):
+    # a dense matrix whose smaller side exceeds SPARSE_EIGEN_CUTOFF takes
+    # the Lanczos kernel, as a sparse one does
+    a = rng.standard_normal((600, 520))
+    ref = np.linalg.norm(a, 2)
+    with caplog.at_level(logging.DEBUG, logger="jointspec"):
+        assert operator_norm(a) == pytest.approx(ref, rel=1e-12)
+    assert "operator norm of 600x520 matrix" in caplog.text
+
+
 def test_smallest_singular_value_rectangular():
     a = rng.standard_normal((12, 5))
     assert np.isclose(smallest_singular_value(a), np.linalg.svd(a)[1].min())
@@ -256,21 +266,11 @@ def known_spectrum(dim, seed=5):
     return sp.block_diag(blocks, format="csc"), e
 
 
-@pytest.fixture
-def no_lapack(monkeypatch):
-    """Fail on any dense eigendecomposition."""
-    def forbidden(m):
-        raise AssertionError(f"dense solve of dim {m.shape[0]}")
-
-    monkeypatch.setattr(np.linalg, "eigh", forbidden)
-    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-
-
 @pytest.mark.parametrize("dim", [513, 4098])
 def test_shift_invert_matches_known_spectrum(dim, no_lapack):
     # both sides of DENSE_EIGEN_CUTOFF, above SPARSE_EIGEN_CUTOFF
     m, e = known_spectrum(dim)
-    assert not operators.solves_densely(dim, True)
+    assert not operators.solves_densely(dim)
     w, v = eigenpair_nearest_zero(m)
     assert abs(w - e[0]) <= 1e-12
     # shift-invert's residual test is relative to the inverse: ||m||

@@ -57,10 +57,11 @@ def dense_tuple(n, seed):
 
 
 def test_cutoff_decision_at_both_constants():
-    assert solves_densely(512, sparse=True)
-    assert not solves_densely(513, sparse=True)
-    assert solves_densely(4096, sparse=False)
-    assert not solves_densely(4097, sparse=False)
+    # one size rule, whatever the storage; DENSE_EIGEN_CUTOFF picks no solver
+    assert operators.SPARSE_EIGEN_CUTOFF == 512
+    assert solves_densely(512)
+    assert not solves_densely(513)
+    assert not solves_densely(operators.DENSE_EIGEN_CUTOFF)
 
 
 @pytest.mark.parametrize("n,fmt", [(512, "dense"), (513, "csc")])
@@ -82,18 +83,29 @@ def test_clifford_both_sides_of_sparse_cutoff(n, fmt):
     assert abs(clifford_gap(t, lam, rep) - ref) <= 1e-9
 
 
-@pytest.mark.parametrize("n,fmt", [(32, "dense"), (33, "csc")])
-def test_both_sides_of_dense_cutoff(monkeypatch, n, fmt):
-    # A dense composite at the real cutoff is a 4096 x 4096 complex matrix
-    # (268 MB per copy), so the boundary is moved to 64 and crossed by L
-    # (dim 64 or 66); the decision at 4096 itself is tested above.
-    monkeypatch.setattr(operators, "DENSE_EIGEN_CUTOFF", 64)
-    t = dense_tuple(n, seed=n)
+@pytest.mark.parametrize("fill", ["banded", "full"])
+@pytest.mark.parametrize("kind,n,fmt", [
+    ("quadratic", 512, "dense"), ("quadratic", 513, "csc"),
+    ("clifford", 256, "dense"), ("clifford", 257, "csc")])
+def test_dense_stored_both_sides_of_sparse_cutoff(kind, n, fmt, fill):
+    # a dense-stored tuple meets the same size rule as a sparse one: Q of
+    # dim n, L of dim 2n on either side of 512; above it a banded tuple
+    # forms its products in CSR and a fully dense one keeps them dense
+    t = dense_tuple(n, seed=n) if fill == "full" else ObservableTuple(
+        [o.dense() for o in sparse_pair(n, seed=n).ops], commuting_prefix=1)
+    in_csr = fill == "banded" and not solves_densely(n)
+    assert all(sp.issparse(m) == in_csr
+               for m in composites._for_products(t.ops))
     rep = build_clifford(2)
     lam = [0.3, -0.1]
-    assert localizer_pencil(t, rep).fmt == fmt
-    ref = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
-    assert abs(clifford_gap(t, lam, rep) - ref) <= 1e-9
+    if kind == "quadratic":
+        assert quadratic_pencil(t).fmt == fmt
+        ref = np.sqrt(np.linalg.eigvalsh(direct_q(t, lam)).min())
+        assert abs(quadratic_gap(t, lam) - ref) <= 1e-9
+    else:
+        assert localizer_pencil(t, rep).fmt == fmt
+        ref = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
+        assert abs(clifford_gap(t, lam, rep) - ref) <= 1e-9
 
 
 # -- pencils -----------------------------------------------------------------
@@ -113,12 +125,43 @@ def test_pencil_matches_direct_assembly():
         rep = build_clifford(t.d_total)
         for lam in probes:
             assert quadratic_pencil(t).fmt == \
-                ("dense" if solves_densely(t.dim, t.is_sparse) else "csc")
+                ("dense" if solves_densely(t.dim) else "csc")
             q = quadratic_pencil(t).at(lam)
             ell = localizer_pencil(t, rep).at(lam)
             q, ell = (m.toarray() if sp.issparse(m) else m for m in (q, ell))
             np.testing.assert_allclose(q, direct_q(t, lam), atol=1e-13)
             np.testing.assert_allclose(ell, direct_l(t, lam, rep), atol=1e-14)
+
+
+def test_a_term_held_by_a_diagonal_term_never_drops_out():
+    # on a dense-stored SSH-300 chain (CSC pencils), L's E term lies on
+    # X (x) Gamma_1's entries: one order at E = 0 and 0.2; Q's -2E H lies
+    # off H^2's pattern, so its two orders differ
+    t = build_ssh(300)
+    rep = build_clifford(2)
+    for lam in ([290.0, 0.0], [290.0, 0.2]):
+        quadratic_pencil(t).ordered(lam)
+        localizer_pencil(t, rep).ordered(lam)
+    assert len(localizer_pencil(t, rep)._orders) == 1
+    assert len(quadratic_pencil(t)._orders) == 2
+
+
+def test_dense_stored_ssh_q_above_512_matches_banded_lapack(no_lapack):
+    # Q = (X - 1010)^2 + H^2 of SSH-1000 (dim 2000) is pentadiagonal;
+    # LAPACK's full eigensolver is ~5e-10 off the banded one here
+    from scipy.linalg import eig_banded
+
+    t = build_ssh(1000)
+    lam = [1010.0, 0.0]
+    x, h = (sp.csr_matrix(o.mat.real) for o in t.ops)
+    shifted = x - lam[0] * sp.identity(t.dim, format="csr")
+    q = (shifted @ shifted + h @ h).todia()
+    bands = np.zeros((3, t.dim))
+    for k in range(3):
+        bands[k, :t.dim - k] = q.diagonal(-k)
+    w = eig_banded(bands, lower=True, eigvals_only=True, select="i",
+                   select_range=(0, 0))[0]
+    assert abs(quadratic_gap(t, lam) - np.sqrt(w)) <= 1e-12 * np.sqrt(w)
 
 
 def test_pencil_calls_never_share_values():

@@ -224,6 +224,21 @@ def test_rung_constant_matches_dense_norm():
     assert c == perturbation_constant(shifted, h, h0)
 
 
+def test_dense_stored_rung_constant_above_512_matches_lapack_norm():
+    # a dense-stored SSH-300 chain (dim 600): C's dense middle factor is
+    # normed by operator_norm's Lanczos kernel, LAPACK's 2-norm is the check
+    t = shift_to_origin(build_ssh(300), [300.3, 0.0])
+    h = t.ops[-1]
+    assert not h.is_sparse
+    _, keep = compress_to_ball(t, 10.0)
+    h0 = _far_field_zeroing(h, keep, t.dim)
+    zinv = np.diag(1.0 / distance_operator(t).diagonal().real)
+    hm, h0m = h.dense(), h0.dense()
+    ref = np.linalg.norm(zinv @ (hm @ h0m + h0m @ hm + h0m @ h0m) @ zinv, 2)
+    assert abs(truncated_gap(t, 10.0)[1].C - ref) <= 1e-12 * ref
+    assert abs(perturbation_constant(t, h, h0) - ref) <= 1e-12 * ref
+
+
 def test_rotated_position_block_matches_diagonal():
     # a unitary rotation makes the position block non-diagonal: Z comes from
     # eigh and C from the dense inverse, and neither may move
