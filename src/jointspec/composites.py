@@ -160,8 +160,7 @@ class ObservableTuple:
 class Pencil:
     """A composite operator as a function of the probe, built once per model.
 
-    Its value at lam is an array over a fixed pattern (a flattened dense
-    matrix where ``solves_densely(dim)``, else the data of a CSC matrix):
+    Its value at lam is the data of a CSC matrix over a fixed pattern:
 
         values(lam) = base + sum over terms of (x - lam_j) g  or  (x - lam_j)^2
 
@@ -171,40 +170,35 @@ class Pencil:
     coordinate has ``x = 0``: its linear term touches the entries of the
     composite as ``-lam_j g``, and the quadratic composite adds ``lam_j^2``
     on the diagonal.  Every call returns a matrix on fresh values; only the
-    read-only pattern is shared between calls, as are a sparse pencil's
-    fill-reducing orders, one per set of terms a probe zeroes (``ordered``).
+    read-only pattern is shared between calls, as are the fill-reducing
+    orders, one per set of terms a probe zeroes (``ordered``).
     """
 
-    __slots__ = ("dim", "fmt", "block", "_base", "_indices", "_indptr",
-                 "_terms", "_orders", "_mortal")
+    __slots__ = ("dim", "block", "_base", "_indices", "_indptr", "_terms",
+                 "_orders", "_mortal")
 
     def __init__(self, dim, base, terms, block=1):
         """``base`` is a validated HermitianOperator or None; ``terms`` holds
         ``(j, rows, cols, x, g)``, with ``g`` None for a square, in the
         order they are added; ``_order`` keeps blocks of ``block``."""
         self.dim, self.block = dim, block
-        self.fmt = "dense" if solves_densely(dim) else "csc"
-        keys = [self._keys(rows, cols) for _, rows, cols, _, _ in terms]
-        if self.fmt == "dense":
-            self._indices = self._indptr = None
-            self._base = (np.zeros(dim * dim, dtype=complex) if base is None
-                          else np.ravel(base.dense()))
-        else:
-            if base is not None:
-                rows, cols, vals = _coo(base.mat)
-                keys.append(self._keys(rows, cols))
-            # not np.unique: its hashing is ~30x slower on a Chern-70 Q
-            pattern = np.sort(np.concatenate(keys))
-            pattern = pattern[np.append(True, np.diff(pattern) != 0)]
-            idx = np.int32 if pattern.size < 2 ** 31 else np.int64
-            self._indices = (pattern % dim).astype(idx)
-            self._indptr = np.searchsorted(pattern // dim,
-                                           np.arange(dim + 1)).astype(idx)
-            self._indices.flags.writeable = self._indptr.flags.writeable = False
-            keys = [np.searchsorted(pattern, k) for k in keys]
-            self._base = np.zeros(pattern.size, dtype=complex)
-            if base is not None:
-                self._base[keys.pop()] = vals
+
+        def key(rows, cols):  # column-major offsets: the CSC order
+            return np.asarray(cols, np.int64) * dim + np.asarray(rows, np.int64)
+
+        rows, cols, vals = ([], [], []) if base is None else _coo(base.mat)
+        keys = [key(r, c) for _, r, c, _, _ in terms] + [key(rows, cols)]
+        # not np.unique: its hashing is ~30x slower on a Chern-70 Q
+        pattern = np.sort(np.concatenate(keys))
+        pattern = pattern[np.append(True, np.diff(pattern) != 0)]
+        idx = np.int32 if pattern.size < 2 ** 31 else np.int64
+        self._indices = (pattern % dim).astype(idx)
+        self._indptr = np.searchsorted(pattern // dim,
+                                       np.arange(dim + 1)).astype(idx)
+        self._indices.flags.writeable = self._indptr.flags.writeable = False
+        keys = [np.searchsorted(pattern, k) for k in keys]
+        self._base = np.zeros(pattern.size, dtype=complex)
+        self._base[keys.pop()] = vals
         self._terms = [(j, pos, x, g)
                        for (j, _, _, x, g), pos in zip(terms, keys)]
         held = self._base != 0  # and below, entries no probe can zero
@@ -213,13 +207,6 @@ class Pencil:
         self._mortal = frozenset(j for j, pos, x, _ in self._terms
                                  if np.ndim(x) == 0 and not held[pos].all())
         self._orders = {}
-
-    def _keys(self, rows, cols):
-        """Sort keys of entries: row-major offsets for a dense pencil,
-        column-major ones for a CSC pencil."""
-        rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
-        return rows * self.dim + cols if self.fmt == "dense" \
-            else cols * self.dim + rows
 
     def values(self, lams) -> np.ndarray:
         """Values at each probe of a (k, d) array, shape (k, pattern size)."""
@@ -234,10 +221,15 @@ class Pencil:
     def matrix(self, values):
         """The composite for one row of ``values``, which a sparse matrix
         takes over, zeros included."""
-        n = self.dim
-        if self.fmt == "dense":
-            return values.reshape(n, n)
-        return sp.csc_matrix((values, self._indices, self._indptr), shape=(n, n))
+        return sp.csc_matrix((values, self._indices, self._indptr),
+                             shape=(self.dim, self.dim))
+
+    def dense(self, values):
+        """The composites for k rows of ``values``, a (k, dim, dim) stack."""
+        out = np.zeros((len(values), self.dim, self.dim), dtype=complex)
+        cols = np.repeat(np.arange(self.dim), np.diff(self._indptr))
+        out[:, self._indices, cols] = values
+        return out
 
     def at(self, lam):
         """The composite at one probe."""
@@ -245,17 +237,18 @@ class Pencil:
 
     def ordered(self, lam):
         """The composite at one probe as the solvers take it, and its layout
-        ``order`` (entry (i, j) is the model's (order[i], order[j])): a dense
-        one with None; a sparse one in the order of its pattern less the terms
-        with ``x = 0`` at ``lam_j = 0`` that hold entries the base lacks."""
-        values = self.values(np.atleast_2d(lam))[0]
-        if self.fmt == "dense":
-            return self.matrix(values), None
+        ``order`` (entry (i, j) is the model's (order[i], order[j])): where
+        ``solves_densely(dim)``, a dense one with None; else a sparse one in
+        the order of its pattern less the terms with ``x = 0`` at
+        ``lam_j = 0`` that hold entries the base lacks."""
+        values = self.values(np.atleast_2d(lam))
+        if solves_densely(self.dim):
+            return self.dense(values)[0], None
         dead = frozenset(j for j in self._mortal if lam[j] == 0)
         if dead not in self._orders:
             self._orders[dead] = self._order(dead)
         order, take, indices, indptr = self._orders[dead]
-        return sp.csc_matrix((values[take], indices, indptr),
+        return sp.csc_matrix((values[0, take], indices, indptr),
                              shape=(self.dim, self.dim)), order
 
     def _order(self, dead):
@@ -429,9 +422,10 @@ def localizer(t: ObservableTuple, lam, rep: CliffordRep) -> HermitianOperator:
     return HermitianOperator(localizer_pencil(t, rep).at(lam.coords))
 
 
-#: bytes a dense batch holds at once: a stack of composites handed to
-#: ``eigvalsh`` and the temporaries of its size that ``Pencil.values`` makes
-#: while assembling it (up to three)
+#: bytes a dense batch holds at once, as four arrays of k dim^2 entries: its
+#: ``Pencil.values`` (at most dim^2 per probe) and their temporaries while
+#: they are assembled (up to two), then those values, the ``Pencil.dense``
+#: stack they are scattered into and ``eigvalsh``'s copy of that stack
 STACK_BYTES = 1 << 25
 
 
@@ -519,14 +513,14 @@ def gap_values(t: ObservableTuple, lams, kind: str,
         except NumericalFailure as exc:
             return exc
 
-    if pencil.fmt != "dense":
+    if not solves_densely(dim):
         return [value(lam, None, None) for lam in lams]
     chunk = max(1, STACK_BYTES // (4 * 16 * dim * dim))
     out = []
     for lo in range(0, len(lams), chunk):
         part = lams[lo:lo + chunk]
         vals = pencil.values(part)
-        w = _spectra(vals.reshape(-1, dim, dim))
+        w = _spectra(pencil.dense(vals))
         # Q is PSD: its smallest eigenvalue, so the clamp check sees a
         # negative one; L: the eigenvalue nearest 0
         w = w[:, 0] if kind == "quadratic" else \
@@ -613,7 +607,7 @@ def minimizing_state(t: ObservableTuple, lam, accuracy: float = 1e-9):
     pencil = quadratic_pencil(t)
     m, order = pencil.ordered(lam.coords)
     # a dense Q's one LAPACK call gives the pair and the count
-    spectrum, w, v = _eigh_nearest_zero(m) if pencil.fmt == "dense" else \
+    spectrum, w, v = _eigh_nearest_zero(m) if solves_densely(pencil.dim) else \
         (None, *eigenpair_nearest_zero(m, accuracy, order))
     u = v if order is None else v[order]  # in m's layout
     resid = np.linalg.norm(m @ u - w * u)

@@ -347,7 +347,7 @@ def read_matrix_file(path) -> np.ndarray:
         raise ModelConfigError(f"{path}: header must be the dimension") from None
     if len(lines) - 1 != n * n:
         raise ModelConfigError(f"{path}: expected {n * n} entries, got {len(lines) - 1}")
-    m = np.zeros((n, n), dtype=complex)
+    m, seen = np.zeros((n, n), dtype=complex), set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 4:
@@ -355,6 +355,9 @@ def read_matrix_file(path) -> np.ndarray:
         r, c = int(parts[0]), int(parts[1])
         if not (0 <= r < n and 0 <= c < n):
             raise ModelConfigError(f"{path}: index ({r},{c}) out of range")
+        if (r, c) in seen:
+            raise ModelConfigError(f"{path}: entry ({r},{c}) given twice")
+        seen.add((r, c))
         m[r, c] = float(parts[2]) + 1j * float(parts[3])
     return m
 

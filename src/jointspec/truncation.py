@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .composites import ObservableTuple, quadratic_gap, shifted_observables
+from .composites import (ObservableTuple, _for_products, quadratic_gap,
+                         shifted_observables)
 from .errors import (CTooLarge, DimensionMismatch, EmptyBall,
                      ParameterOutOfRange, ZNotInvertible)
 from .models import write_json
@@ -143,7 +144,7 @@ def perturbation_constant(t: ObservableTuple, h: HermitianOperator,
     """
     if h.dim != t.dim or h0.dim != t.dim:
         raise DimensionMismatch("H and H0 must match the observable dimension")
-    hm, h0m = h.mat, h0.mat
+    hm, h0m = _for_products([h, h0])
     return _scaled_norm(t, hm @ h0m + h0m @ hm + h0m @ h0m)
 
 
@@ -196,7 +197,7 @@ def truncated_gap(t: ObservableTuple, rho: float, accuracy: float = 1e-9,
     min(rho, compressed gap) together with the certificate; the certificate's
     ``full_gap_interval`` brackets the untruncated gap whenever C < 1.
     """
-    h = t.hamiltonian.mat
+    h, = _for_products([t.hamiltonian])
     # H0 = PHP - H for the projection P onto the ball: H + H0 = PHP equals H
     # on the ball, so compressing t is compressing the zeroed tuple, and
     # H H0 + H0 H + H0^2 = (PHP)^2 - H^2

@@ -279,6 +279,18 @@ def test_explicit_model_from_matrix_files(capsys, tmp_path):
     assert "mu_q=1.41421" in out
 
 
+def test_matrix_file_with_a_repeated_entry_exits_2(capsys, tmp_path):
+    # (0, 0) twice and (0, 1) missing: the later value must not displace
+    # the earlier one and leave (0, 1) to read 0
+    (tmp_path / "x.txt").write_text("2\n0 0 1 0\n0 0 2 0\n1 0 0 0\n1 1 3 0\n")
+    cfg = tmp_path / "model.txt"
+    cfg.write_text(f"kind = explicit\nmatrix_file = {tmp_path / 'x.txt'}\n")
+    code, out, err = run(capsys, "gap", "--model-config", str(cfg),
+                         "--lambda", "0", "--kind", "quadratic")
+    assert code == 2 and not out
+    assert "entry (0,0) given twice" in err
+
+
 def test_run_recipe(capsys, tmp_path):
     recipe = tmp_path / "recipe.json"
     recipe.write_text(json.dumps({

@@ -68,7 +68,7 @@ def test_cutoff_decision_at_both_constants():
 def test_quadratic_both_sides_of_sparse_cutoff(n, fmt):
     t = sparse_pair(n, seed=n)
     lam = [0.37, 0.21]
-    assert quadratic_pencil(t).fmt == fmt
+    assert solves_densely(quadratic_pencil(t).dim) == (fmt == "dense")
     ref = np.sqrt(np.linalg.eigvalsh(direct_q(t, lam)).min())
     assert abs(quadratic_gap(t, lam) - ref) <= 1e-9
 
@@ -78,7 +78,7 @@ def test_clifford_both_sides_of_sparse_cutoff(n, fmt):
     t = sparse_pair(n, seed=n)
     rep = build_clifford(2)
     lam = [0.37, 0.21]
-    assert localizer_pencil(t, rep).fmt == fmt
+    assert solves_densely(localizer_pencil(t, rep).dim) == (fmt == "dense")
     ref = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
     assert abs(clifford_gap(t, lam, rep) - ref) <= 1e-9
 
@@ -99,11 +99,11 @@ def test_dense_stored_both_sides_of_sparse_cutoff(kind, n, fmt, fill):
     rep = build_clifford(2)
     lam = [0.3, -0.1]
     if kind == "quadratic":
-        assert quadratic_pencil(t).fmt == fmt
+        assert solves_densely(quadratic_pencil(t).dim) == (fmt == "dense")
         ref = np.sqrt(np.linalg.eigvalsh(direct_q(t, lam)).min())
         assert abs(quadratic_gap(t, lam) - ref) <= 1e-9
     else:
-        assert localizer_pencil(t, rep).fmt == fmt
+        assert solves_densely(localizer_pencil(t, rep).dim) == (fmt == "dense")
         ref = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
         assert abs(clifford_gap(t, lam, rep) - ref) <= 1e-9
 
@@ -124,13 +124,29 @@ def test_pencil_matches_direct_assembly():
     for t, probes in cases:
         rep = build_clifford(t.d_total)
         for lam in probes:
-            assert quadratic_pencil(t).fmt == \
-                ("dense" if solves_densely(t.dim) else "csc")
             q = quadratic_pencil(t).at(lam)
             ell = localizer_pencil(t, rep).at(lam)
             q, ell = (m.toarray() if sp.issparse(m) else m for m in (q, ell))
             np.testing.assert_allclose(q, direct_q(t, lam), atol=1e-13)
             np.testing.assert_allclose(ell, direct_l(t, lam, rep), atol=1e-14)
+
+
+@pytest.mark.parametrize("case", ["ssh", "banded", "full"])
+def test_dense_stack_equals_each_sparse_composite(case):
+    # the stack eigvalsh takes holds, bit for bit, the CSC composite of each
+    # probe: on SSH-4, a banded pair of dim 512 stored dense and a fully
+    # dense H of dim 200
+    t = {"ssh": lambda: build_ssh(4, 0.7, 1.4),
+         "banded": lambda: ObservableTuple([o.dense() for o in sparse_pair(
+             512, seed=2).ops], commuting_prefix=1),
+         "full": lambda: dense_tuple(200, seed=4)}[case]()
+    lams = [[0.3, -0.2], [0.0, 0.0], [1.7, 0.4]]
+    for pencil in (quadratic_pencil(t), localizer_pencil(t, build_clifford(2))):
+        values = pencil.values(lams)
+        stack = pencil.dense(values)
+        assert stack.shape == (len(lams), pencil.dim, pencil.dim)
+        for row, m in zip(values, stack):
+            assert m.tobytes() == pencil.matrix(row).toarray().tobytes()
 
 
 def test_a_term_held_by_a_diagonal_term_never_drops_out():
@@ -167,7 +183,7 @@ def test_dense_stored_ssh_q_above_512_matches_banded_lapack(no_lapack):
 def test_pencil_calls_never_share_values():
     t = build_chern2d(17, 17)  # Q dim 578: sparse, sharing one pattern
     pencil = quadratic_pencil(t)
-    assert pencil.fmt == "csc"
+    assert not solves_densely(pencil.dim)
     first = pencil.at([0.5, 0.5, 0.5])
     kept = first.copy()
     pencil.at([1.5, -0.5, 0.5])
@@ -246,7 +262,7 @@ def test_dense_batch_holds_one_stack_at_a_time(monkeypatch):
     stack = 8 << 20
     monkeypatch.setattr(composites, "STACK_BYTES", stack)
     t = dense_tuple(200, seed=5)
-    assert quadratic_pencil(t).fmt == "dense"
+    assert solves_densely(quadratic_pencil(t).dim)
     lams = np.column_stack([np.linspace(-1.0, 1.0, 40), np.zeros(40)])
     tracemalloc.start()
     try:
@@ -289,7 +305,7 @@ def test_standalone_call_equals_sweep_cell(nx):
 def test_sparse_sweep_repeats_bitwise():
     t = scale_positions(build_chern2d(12, 12), 0.5)  # L dim 576 > 512
     rep = build_clifford(3)
-    assert localizer_pencil(t, rep).fmt == "csc"
+    assert not solves_densely(localizer_pencil(t, rep).dim)
     spec = GridSpec(axes=((-3.25, 3.25, 6),), fixed_coords={1: 0.0, 2: 0.0})
     a = sweep_grid(t, spec, "clifford", rep=rep)
     b = sweep_grid(t, spec, "clifford", rep=rep)
@@ -324,7 +340,7 @@ def test_q_clamp_scale_does_not_grow_with_the_lattice(monkeypatch):
     # sum_j (||X_j|| + |lam_j|)^2 = 244.5 puts the clamp at -2.4e-8
     t = build_chern2d(20, 20)
     lam = [0.0, 0.0, 0.0]
-    assert quadratic_pencil(t).fmt == "csc"
+    assert not solves_densely(quadratic_pencil(t).dim)
     v = np.zeros(t.dim, dtype=complex)
     v[0] = 1.0
     monkeypatch.setattr(composites, "eigenpair_nearest_zero",
@@ -435,7 +451,7 @@ def test_no_convergence_recovers_densely(no_convergence, caplog):
     t = chern_half(12)  # L dim 576: sparse, below the dense cutoff
     rep = build_clifford(3)
     lam = [0.3, -0.2, 0.0]
-    assert localizer_pencil(t, rep).fmt == "csc"
+    assert not solves_densely(localizer_pencil(t, rep).dim)
     ref = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
     with caplog.at_level(logging.INFO, logger="jointspec"):
         mu = clifford_gap(t, lam, rep)
@@ -537,8 +553,8 @@ def test_chern_gaps_match_dense_at_e0(splu_calls, nx, q_fmt):
     t = chern_half(nx)
     rep = build_clifford(3)
     lam = [0.3, -0.2, 0.0]
-    assert quadratic_pencil(t).fmt == q_fmt
-    assert localizer_pencil(t, rep).fmt == "csc"
+    assert solves_densely(quadratic_pencil(t).dim) == (q_fmt == "dense")
+    assert not solves_densely(localizer_pencil(t, rep).dim)
     ref_c = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
     ref_q = np.sqrt(np.linalg.eigvalsh(direct_q(t, lam)).min())
     assert abs(clifford_gap(t, lam, rep) - ref_c) <= 1e-9
@@ -590,7 +606,7 @@ def test_two_eigenpairs_nearest_zero_match_dense(energy):
 def test_sparse_minimizing_state_matches_dense():
     t = chern_half(20)  # Q dim 800: sparse
     lam = [0.3, -0.2, 0.0]
-    assert quadratic_pencil(t).fmt == "csc"
+    assert not solves_densely(quadratic_pencil(t).dim)
     state, degenerate, _ = composites.minimizing_state(t, lam)
     q = direct_q(t, lam)
     w = np.linalg.eigvalsh(q)
@@ -607,9 +623,9 @@ def test_dense_minimizing_state_makes_one_lapack_call(lapack_calls, nx,
     # eigh call and equals a separate eigvalsh count; mu^Q and the state
     # are those of the eigenpair that eigh gives
     t = scale_positions(build_chern2d(nx, nx), kappa)
-    assert quadratic_pencil(t).fmt == "dense"
+    assert solves_densely(quadratic_pencil(t).dim)
     for lam in ([3.0, 0.0, 0.0], [0.3, -0.2, 0.0]):
-        q = quadratic_pencil(t).at(lam)
+        q = quadratic_pencil(t).at(lam).toarray()
         w, v = eigenpair_nearest_zero(q)
         s = w + composites.DEGENERACY_TOL * max(1.0, abs(w))
         flag = np.count_nonzero(np.linalg.eigvalsh(q) < s) > 1
@@ -740,7 +756,7 @@ def test_ordered_solve_equals_the_mmd_solve(nx, kind, energy):
     t = chern_half(nx)
     pencil = quadratic_pencil(t) if kind == "Q" else \
         localizer_pencil(t, build_clifford(3))
-    assert pencil.fmt == "csc"
+    assert not solves_densely(pencil.dim)
     lam = [0.3, -0.2, energy]
     # the composite without the terms a coordinate at 0 zeroes
     m = (quadratic_operator(t, lam) if kind == "Q" else
@@ -941,7 +957,7 @@ def test_entry_graph_orders_are_kept(case):
         pencil = quadratic_pencil(spec.build())
     else:
         pencil = quadratic_pencil(sparse_copy(chern, {"orbitals": 3}))
-    assert pencil.fmt == "csc" and pencil.block == 1
+    assert not solves_densely(pencil.dim) and pencil.block == 1
     for lam in lams:
         order = pencil.ordered(lam)[1]
         assert np.array_equal(order, quotient_mmd_order(pencil.at(lam), 1))
@@ -978,7 +994,7 @@ def test_count_below_on_site_ordered_q(nx, monkeypatch):
         monkeypatch.setattr(operators, "DENSE_EIGEN_CUTOFF", 500)
     t = chern_half(nx)
     pencil = quadratic_pencil(t)
-    assert pencil.fmt == ("dense" if nx == 16 else "csc")
+    assert solves_densely(pencil.dim) == (nx == 16)
     ordered, order = pencil.ordered([1.1, 2.3, 0.2])
     assert (order is None) == (nx == 16)
     ev = dense_spectrum(ordered)
@@ -994,7 +1010,7 @@ def test_sparse_state_repeats_bytewise():
     from jointspec.states import extract_state
 
     base = build_chern2d(20, 20)
-    assert quadratic_pencil(scale_positions(base, 0.5)).fmt == "csc"
+    assert not solves_densely(quadratic_pencil(scale_positions(base, 0.5)).dim)
     a, b = (extract_state(ScaledTuple(base, 0.5), [3.5, 0.0, 0.0])
             for _ in range(2))
     assert a.state.vec.tobytes() == b.state.vec.tobytes()

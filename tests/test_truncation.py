@@ -225,8 +225,9 @@ def test_rung_constant_matches_dense_norm():
 
 
 def test_dense_stored_rung_constant_above_512_matches_lapack_norm():
-    # a dense-stored SSH-300 chain (dim 600): C's dense middle factor is
-    # normed by operator_norm's Lanczos kernel, LAPACK's 2-norm is the check
+    # a dense-stored SSH-300 chain (dim 600): C's middle factor, formed in
+    # CSR, is normed by operator_norm's Lanczos kernel, LAPACK's 2-norm is
+    # the check
     t = shift_to_origin(build_ssh(300), [300.3, 0.0])
     h = t.ops[-1]
     assert not h.is_sparse
@@ -237,6 +238,24 @@ def test_dense_stored_rung_constant_above_512_matches_lapack_norm():
     ref = np.linalg.norm(zinv @ (hm @ h0m + h0m @ hm + h0m @ h0m) @ zinv, 2)
     assert abs(truncated_gap(t, 10.0)[1].C - ref) <= 1e-12 * ref
     assert abs(perturbation_constant(t, h, h0) - ref) <= 1e-12 * ref
+
+
+def test_dense_stored_rung_forms_its_products_in_csr(monkeypatch):
+    # a banded H stored dense (SSH-300, dim 600 > 512): truncated_gap's
+    # (PHP)^2 - H^2 and perturbation_constant's H H0 + H0 H + H0^2 are
+    # formed in CSR, not as dense products of the stored matrices
+    import jointspec.truncation as truncation
+
+    seen = []
+    scaled_norm = truncation._scaled_norm
+    monkeypatch.setattr(truncation, "_scaled_norm", lambda t, mid: (
+        seen.append(sp.issparse(mid)), scaled_norm(t, mid))[1])
+    t = shift_to_origin(build_ssh(300), [300.3, 0.0])
+    assert not t.ops[-1].is_sparse
+    c = truncated_gap(t, 10.0)[1].C
+    h0 = _far_field_zeroing(t.ops[-1], compress_to_ball(t, 10.0)[1], t.dim)
+    assert abs(perturbation_constant(t, t.ops[-1], h0) - c) <= 1e-12 * c
+    assert seen == [True, True]
 
 
 def test_rotated_position_block_matches_diagonal():
