@@ -26,7 +26,7 @@ from .models import (EXAMPLE_NAMES, LatticeModelSpec, build_ssh_path,
 from .states import kappa_sweep
 from .sweep import (GridSpec, _check_epsilon, epsilon_mask, model_fingerprint,
                     spectral_flow, sweep_grid)
-from .truncation import shift_to_origin, truncated_gap
+from .truncation import _check_rho, shift_to_origin, truncated_gap
 
 _MODEL_DESCRIPTIONS = [
     ("pauli_pair", "2x2 Pauli pair (sigma_x, sigma_y); closed-form gaps"),
@@ -291,6 +291,8 @@ def _cmd_flow(args) -> int:
 def _cmd_states(args) -> int:
     lam = _parse_lambda(args.lam)
     t = _resolve_model(args).build()  # unscaled: a ladder replaces --kappa
+    if args.sites_csv_out and not t.meta.get("shape"):
+        raise JointSpecError("site CSV output needs a 2D lattice model")
     kappas = ([float(x) for x in args.kappas.split(",")] if args.kappas
               else [args.kappa])
     reports = kappa_sweep(t, lam, kappas, accuracy=args.accuracy)
@@ -309,8 +311,6 @@ def _cmd_states(args) -> int:
                 _atomic_write(f"{base}_kappa{rep.kappa:g}{ext}", rep.to_json)
     if args.sites_csv_out:
         rep = reports[-1]
-        if rep.site_shape is None:
-            raise JointSpecError("site CSV output needs a 2D lattice model")
         nx, ny = rep.site_shape
         probs = rep.site_probabilities.reshape(ny, nx)
         _atomic_write(args.sites_csv_out, lambda p: write_csv(
@@ -322,13 +322,14 @@ def _cmd_states(args) -> int:
 def _cmd_truncate(args) -> int:
     t = _built_tuple(args)
     lam = _parse_lambda(args.lam)
+    rhos = [_check_rho(float(x)) for x in args.rho.split(",")]
     shifted = shift_to_origin(t, lam)
     mu_full = None
     if args.full:
         mu_full = quadratic_gap(t, lam, accuracy=args.accuracy)
         print(f"full mu_q={mu_full:.12g}")
     results = []
-    for rho in (float(x) for x in args.rho.split(",")):
+    for rho in rhos:
         value, cert = truncated_gap(shifted, rho, accuracy=args.accuracy,
                                     mu_full=mu_full)
         lo, hi = cert.full_gap_interval()

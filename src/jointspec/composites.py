@@ -288,15 +288,6 @@ def _coo(m):
     return c.row, c.col, c.data
 
 
-def _for_products(ops) -> list:
-    """ops' matrices in CSR above ``SPARSE_EIGEN_CUTOFF``, unless a dense-stored
-    one's CSR square takes over n^2 multiply-adds (its squared row counts)."""
-    n = ops[0].dim
-    rows = (np.count_nonzero(o.mat, axis=1) for o in ops if not o.is_sparse)
-    dense = solves_densely(n) or any(r @ r > n * n for r in rows)
-    return [o.mat if dense else sp.csr_matrix(o.mat) for o in ops]
-
-
 def _affine_pencil(ops, gammas) -> Pencil:
     """sum_j (X_j - lam_j) (x) Gamma_j."""
     n = ops[0].dim
@@ -320,12 +311,12 @@ def _quadratic_pencil(ops, block) -> Pencil:
     n = ops[0].dim
     diag = np.arange(n)
     base, shift, lin, sq = None, [], [], []
-    for j, (o, m) in enumerate(zip(ops, _for_products(ops))):
+    for j, o in enumerate(ops):
         if o.is_diagonal:
             shift.append((j, diag, diag, o.diagonal().real, None))
             continue
-        base = m @ m if base is None else base + m @ m
-        rows, cols, vals = _coo(m)
+        base = o.mat @ o.mat if base is None else base + o.mat @ o.mat
+        rows, cols, vals = _coo(o.mat)
         lin.append((j, rows, cols, 0.0, 2.0 * vals))
         sq.append((j, diag, diag, 0.0, None))
     return Pencil(n, None if base is None else HermitianOperator(base),
@@ -364,8 +355,7 @@ def shifted_observables(t: ObservableTuple, lam) -> list:
         if s == 0.0:
             out.append(o)
             continue
-        eye = (sp.identity(o.dim, dtype=complex, format="csr") if o.is_sparse
-               else np.eye(o.dim, dtype=complex))
+        eye = sp.identity(o.dim, dtype=complex, format="csr")
         out.append(HermitianOperator(o.mat - s * eye))
     return out
 
@@ -556,7 +546,7 @@ def clifford_gap(t: ObservableTuple, lam, rep: CliffordRep,
 
 def commutator_bound(t: ObservableTuple) -> float:
     """sum_{j<k} ||[X_j, X_k]||, the gap-difference bound."""
-    m = _for_products(t.ops)  # the commuting block's pairs give 0: skipped
+    m = [o.mat for o in t.ops]  # the commuting block's pairs give 0: skipped
     return sum((operator_norm(m[j] @ m[k] - m[k] @ m[j])
                 for j, k in itertools.combinations(range(t.d_total), 2)
                 if k >= t.commuting_prefix), 0.0)
@@ -570,7 +560,7 @@ def commutator_bound_2d(t: ObservableTuple) -> float:
     """
     if t.d_total != 3 or t.commuting_prefix < 2:
         raise DimensionMismatch("2-d bound needs (X, Y, H) with commuting X, Y")
-    x, y, h = _for_products(t.ops)
+    x, y, h = (o.mat for o in t.ops)
     a = x + 1j * y
     return operator_norm(h @ a - a @ h)
 

@@ -46,6 +46,7 @@ def build_ssh(n_cells: int = 4, v: float = 0.7, w: float = 1.4) -> ObservableTup
     """Finite SSH chain of 2*n_cells sites: position X and Hamiltonian H.
 
     H is tridiagonal with hoppings alternating v, w; X = diag(1, ..., 2n).
+    Both are given dense; ``HermitianOperator`` holds them in CSR above 512.
     """
     if n_cells < 1:
         raise ParameterOutOfRange("n_cells must be >= 1")

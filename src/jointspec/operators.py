@@ -88,12 +88,15 @@ def _norm_upper_bound(m) -> float:
 
 
 class HermitianOperator:
-    """A verified Hermitian matrix (dense ndarray or scipy sparse).
+    """A verified Hermitian matrix, stored dense or in CSR, decided here once.
 
-    The constructor checks ``max|A - A^dag| <= 1e-12 * max(1, ||A||)`` and then
-    symmetrizes ``A <- (A + A^dag)/2`` so round-off asymmetry cannot leak into
-    downstream eigensolvers.  The symmetrized matrix is a new one, so the
-    operator never shares storage with its input.  ``is_diagonal`` and
+    A sparse input is stored in CSR, and so is a dense one of dimension above
+    ``SPARSE_EIGEN_CUTOFF`` whose CSR square takes at most n^2 multiply-adds
+    (the sum of its squared row counts); other dense inputs stay dense.  The
+    constructor then checks ``max|A - A^dag| <= 1e-12 * max(1, ||A||)`` and
+    symmetrizes ``A <- (A + A^dag)/2`` so round-off asymmetry cannot leak
+    into downstream eigensolvers.  The symmetrized matrix is a new one, so
+    the operator never shares storage with its input.  ``is_diagonal`` and
     ``norm_bound`` are computed on first use.
     """
 
@@ -104,9 +107,12 @@ class HermitianOperator:
         if sp.issparse(m):
             m = m.tocsr()
         else:
-            m = np.asarray(m, dtype=complex)
+            m = np.asarray(m)
             if m.ndim != 2:
                 raise InvalidOperator("expected a 2-d matrix")
+            r = None if solves_densely(len(m)) else np.count_nonzero(m, axis=1)
+            m = (m.astype(complex, copy=False) if r is None or r @ r > len(m) ** 2
+                 else sp.csr_matrix(m, dtype=complex))
         if m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InvalidOperator(f"expected a square matrix, got shape {m.shape}")
         _check_finite(m)
@@ -142,8 +148,7 @@ class HermitianOperator:
     @property
     def is_diagonal(self) -> bool:
         if self._diagonal is None:
-            off = self._mat - (sp.diags(self._mat.diagonal()) if self.is_sparse
-                               else np.diag(self._mat.diagonal()))
+            off = self._mat - sp.diags(self._mat.diagonal())
             self._diagonal = _max_abs(off) == 0.0
         return self._diagonal
 
@@ -304,8 +309,6 @@ def operator_norm(a) -> float:
         _LOG.debug("operator norm of %dx%d matrix: %d Lanczos steps, "
                    "residual estimate %.3g", *shape, steps, resid)
         return float(np.sqrt(theta))
-    if min(m.shape) == 1:
-        return float(np.linalg.norm(m))
     return float(np.linalg.norm(m, 2))
 
 

@@ -160,13 +160,13 @@ def kappa_sweep(t: ObservableTuple, lam, kappas,
                 accuracy: float = 1e-9) -> list:
     """One LocalizedStateReport per kappa, positions-only scaling.
 
-    Each report is checked against the gap-decomposition identity before it
-    is returned.
+    Every kappa is checked before the first state is solved, and each
+    report against the gap-decomposition identity before it is returned.
     """
     reports = []
-    for kappa in np.atleast_1d(np.asarray(kappas, dtype=float)):
-        rep = extract_state(ScaledTuple(t, float(kappa)), lam,
-                            accuracy=accuracy)
+    for scaled in [ScaledTuple(t, float(kappa))
+                   for kappa in np.atleast_1d(np.asarray(kappas, dtype=float))]:
+        rep = extract_state(scaled, lam, accuracy=accuracy)
         check_identity(rep)
         reports.append(rep)
     return reports

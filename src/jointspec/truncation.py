@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .composites import (ObservableTuple, _for_products, quadratic_gap,
-                         shifted_observables)
+from .composites import ObservableTuple, quadratic_gap, shifted_observables
 from .errors import (CTooLarge, DimensionMismatch, EmptyBall,
                      ParameterOutOfRange, ZNotInvertible)
 from .models import write_json
@@ -144,8 +143,7 @@ def perturbation_constant(t: ObservableTuple, h: HermitianOperator,
     """
     if h.dim != t.dim or h0.dim != t.dim:
         raise DimensionMismatch("H and H0 must match the observable dimension")
-    hm, h0m = _for_products([h, h0])
-    return _scaled_norm(t, hm @ h0m + h0m @ hm + h0m @ h0m)
+    return _scaled_norm(t, h.mat @ h0.mat + h0.mat @ h.mat + h0.mat @ h0.mat)
 
 
 def modified_gap_bounds(t: ObservableTuple, h0: HermitianOperator,
@@ -170,6 +168,13 @@ def modified_gap_bounds(t: ObservableTuple, h0: HermitianOperator,
                                  mu_full=mu)
 
 
+def _check_rho(rho: float) -> float:
+    """The ball radius rule: ``rho`` itself if positive (NaN is not)."""
+    if not rho > 0:
+        raise ParameterOutOfRange("rho must be positive")
+    return rho
+
+
 def compress_to_ball(t: ObservableTuple, rho: float):
     """Restrict every operator to basis vectors within distance rho of the probe.
 
@@ -177,8 +182,7 @@ def compress_to_ball(t: ObservableTuple, rho: float):
     its own storage; requires the position block to be diagonal so the ball
     is a coordinate subspace.
     """
-    if not rho > 0:
-        raise ParameterOutOfRange("rho must be positive")
+    _check_rho(rho)
     z = _diagonal_distances(t)
     keep = np.flatnonzero(z <= rho)
     if keep.size == 0:
@@ -197,7 +201,7 @@ def truncated_gap(t: ObservableTuple, rho: float, accuracy: float = 1e-9,
     min(rho, compressed gap) together with the certificate; the certificate's
     ``full_gap_interval`` brackets the untruncated gap whenever C < 1.
     """
-    h, = _for_products([t.hamiltonian])
+    h = t.hamiltonian.mat
     # H0 = PHP - H for the projection P onto the ball: H + H0 = PHP equals H
     # on the ball, so compressing t is compressing the zeroed tuple, and
     # H H0 + H0 H + H0^2 = (PHP)^2 - H^2

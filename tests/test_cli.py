@@ -243,6 +243,28 @@ def test_states_command(capsys, tmp_path):
     assert json.loads(out_json.read_text())["kappa"] == 1.0
 
 
+@pytest.mark.parametrize("argv,output", [
+    (["states", "--model", "ssh", "--lambda", "1,0", "--json-out", "s.json",
+      "--sites-csv-out", "s.csv"], "site CSV output needs a 2D lattice"),
+    (["states", "--model", "ssh", "--lambda", "1,0", "--kappas", "0.5,-1",
+      "--json-out", "s.json"], "kappa must be positive and finite"),
+    (["truncate", "--model", "ssh", "--lambda", "4.3,0", "--rho", "2,-1",
+      "--full", "--json-out", "t.json"], "rho must be positive"),
+], ids=["sites-csv", "kappas", "rho"])
+def test_refused_before_the_first_solve(capsys, tmp_path, monkeypatch,
+                                        lapack_calls, argv, output):
+    from jointspec import operators
+
+    factors = []
+    monkeypatch.setattr(operators, "_factor",
+                        lambda *args: factors.append(args))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and output in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert lapack_calls == [] and factors == []
+
+
 def test_truncate_command(capsys):
     code, out, _ = run(capsys, "truncate", "--model", "chern2d",
                        "--lambda", "0,0,0", "--rho", "8", "--full")

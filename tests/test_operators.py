@@ -96,6 +96,14 @@ def test_operator_norm_of_a_dense_matrix_above_512(caplog):
     assert "operator norm of 600x520 matrix" in caplog.text
 
 
+@pytest.mark.parametrize("shape", [(5, 1), (1, 5)])
+@pytest.mark.parametrize("store", [np.asarray, sp.csr_matrix])
+def test_operator_norm_of_a_vector_is_its_length(shape, store):
+    v = np.random.default_rng(11).standard_normal(5) + 1j
+    assert operator_norm(store(v.reshape(shape))) == pytest.approx(
+        np.linalg.norm(v), rel=1e-15, abs=0)
+
+
 def test_smallest_singular_value_rectangular():
     a = rng.standard_normal((12, 5))
     assert np.isclose(smallest_singular_value(a), np.linalg.svd(a)[1].min())

@@ -89,13 +89,13 @@ def test_clifford_both_sides_of_sparse_cutoff(n, fmt):
     ("clifford", 256, "dense"), ("clifford", 257, "csc")])
 def test_dense_stored_both_sides_of_sparse_cutoff(kind, n, fmt, fill):
     # a dense-stored tuple meets the same size rule as a sparse one: Q of
-    # dim n, L of dim 2n on either side of 512; above it a banded tuple
-    # forms its products in CSR and a fully dense one keeps them dense
+    # dim n, L of dim 2n on either side of 512; above it each observable
+    # given dense is held in CSR where its fill allows, so the `full` tuple
+    # mixes a CSR diagonal X with a dense H
     t = dense_tuple(n, seed=n) if fill == "full" else ObservableTuple(
         [o.dense() for o in sparse_pair(n, seed=n).ops], commuting_prefix=1)
-    in_csr = fill == "banded" and not solves_densely(n)
-    assert all(sp.issparse(m) == in_csr
-               for m in composites._for_products(t.ops))
+    above = not solves_densely(n)
+    assert [o.is_sparse for o in t.ops] == [above, above and fill == "banded"]
     rep = build_clifford(2)
     lam = [0.3, -0.1]
     if kind == "quadratic":
@@ -106,6 +106,43 @@ def test_dense_stored_both_sides_of_sparse_cutoff(kind, n, fmt, fill):
         assert solves_densely(localizer_pencil(t, rep).dim) == (fmt == "dense")
         ref = np.abs(np.linalg.eigvalsh(direct_l(t, lam, rep))).min()
         assert abs(clifford_gap(t, lam, rep) - ref) <= 1e-9
+
+
+def test_storage_is_decided_once_per_observable(tmp_path):
+    # SSH-300 (dim 600) given dense is held in CSR, so it equals a copy
+    # built in CSR byte for byte, fingerprint included; SSH-256 (dim 512)
+    # and a fully dense H of dim 600 stay dense
+    from jointspec.states import extract_state
+    from jointspec.sweep import model_fingerprint
+    from jointspec.truncation import shift_to_origin, truncated_gap
+
+    assert not any(o.is_sparse for o in build_ssh(256).ops)
+    assert not dense_tuple(600, seed=1).ops[-1].is_sparse
+    given = build_ssh(300)
+    hop = np.where(np.arange(599) % 2 == 0, 0.7, 1.4)
+    built = ObservableTuple(
+        [sp.diags(np.arange(1.0, 601.0), format="csr", dtype=complex),
+         sp.diags([hop, hop], [1, -1], format="csr", dtype=complex)],
+        commuting_prefix=1, meta=given.meta)
+    assert all(o.is_sparse for o in given.ops)
+    assert model_fingerprint(given) == model_fingerprint(built)
+    rep, lam = build_clifford(2), [300.3, 0.1]
+    a, b = (composites.gap_pair_with_bound(t, lam, rep)
+            for t in (given, built))
+    assert (a.mu_q, a.mu_c, a.commutator_bound) == (
+        b.mu_q, b.mu_c, b.commutator_bound)
+    spec = GridSpec(axes=((290.0, 310.0, 5), (-0.5, 0.5, 3)))
+    for kind in ("quadratic", "clifford"):
+        assert (sweep_grid(given, spec, kind).values.tobytes()
+                == sweep_grid(built, spec, kind).values.tobytes())
+    for rho in (5.0, 10.0):
+        (a, ca), (b, cb) = (truncated_gap(shift_to_origin(t, [300.3, 0.0]), rho)
+                            for t in (given, built))
+        assert a == b and ca.C == cb.C
+    for name, t in (("given", given), ("built", built)):
+        extract_state(t, [300.3, 0.0]).to_json(tmp_path / f"{name}.json")
+    assert (tmp_path / "given.json").read_bytes() == (
+        tmp_path / "built.json").read_bytes()
 
 
 # -- pencils -----------------------------------------------------------------
