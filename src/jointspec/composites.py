@@ -394,7 +394,8 @@ def _checked_probe(t: ObservableTuple, lam) -> ProbePoint:
 
 
 def tall_composite(t: ObservableTuple, lam) -> np.ndarray:
-    """Vertical stack of (X_j - lam_j I), shape (d*n, n)."""
+    """Vertical stack of (X_j - lam_j I), shape (d*n, n), in CSR if any X_j
+    is: ``smallest_singular_value`` refuses that above 4096^2 entries."""
     blocks = [o.mat for o in shifted_observables(t, lam)]
     return (sp.vstack([sp.csr_matrix(b) for b in blocks], format="csr")
             if any(o.is_sparse for o in t.ops) else np.vstack(blocks))

@@ -407,12 +407,12 @@ def count_below(m, s: float, order=None) -> int:
 
 def smallest_singular_value(a) -> float:
     """sigma_min(A) = min over unit v of ||A v||, for rectangular A, by dense
-    SVD.  Sparse inputs larger than ``DENSE_EIGEN_CUTOFF`` are refused: use
-    ``quadratic_gap`` for tall composites."""
+    SVD.  A sparse input over ``DENSE_EIGEN_CUTOFF``^2 entries once dense is
+    refused, whatever its shape: use ``quadratic_gap`` for tall composites."""
     m = _as_matrix(a)
     _check_finite(m)
     if sp.issparse(m):
-        if max(m.shape) > DENSE_EIGEN_CUTOFF:
+        if m.shape[0] * m.shape[1] > DENSE_EIGEN_CUTOFF ** 2:
             raise ParameterOutOfRange(
                 f"sparse {m.shape[0]}x{m.shape[1]} matrix is too large for the "
                 "dense SVD")

@@ -70,12 +70,6 @@ class LocalizedStateReport:
         }, path)
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(v)))
-    phase = v[k] / abs(v[k]) if v[k] != 0 else 1.0
-    return v / phase
-
-
 def _site_marginal(v: np.ndarray, orbitals: int) -> np.ndarray:
     p = (np.abs(v) ** 2).reshape(-1, orbitals).sum(axis=1)
     if abs(p.sum() - 1.0) > MARGINAL_TOL:
@@ -113,7 +107,8 @@ def extract_state(t, lam, accuracy: float = 1e-9) -> LocalizedStateReport:
     h = base.hamiltonian
     state, degenerate, mu = minimizing_state(
         t.build(), t.scale_probe(lam.coords), accuracy=accuracy)
-    v = _fix_phase(state.vec)
+    k = int(np.argmax(np.abs(state.vec)))  # the largest entry made real
+    v = state.vec / (state.vec[k] / abs(state.vec[k]))
     state = StateVector(v, normalize=True)
 
     pos_exp = np.array([expectation(x, state) for x in base.positions])

@@ -121,6 +121,7 @@ def distance_operator(t: ObservableTuple) -> HermitianOperator:
 
 def _scaled_norm(t: ObservableTuple, mid) -> float:
     """|| Z^(-1) mid Z^(-1) ||; a diagonal Z scales a fresh ``mid`` in place."""
+    mid = mid if sp.issparse(mid) else np.asarray(mid)  # np.matrix's *= is @
     z = distance_operator(t)
     if not z.is_diagonal:
         zinv = np.linalg.inv(z.dense())

@@ -9,7 +9,8 @@ from jointspec.composites import (ObservableTuple, ProbePoint, clifford_gap,
                                   localizer, minimizing_state, quadratic_gap,
                                   quadratic_operator, reduced_localizer,
                                   tall_composite, verify_symmetry)
-from jointspec.errors import (DimensionMismatch, InvalidOperator, NotRealMatrix)
+from jointspec.errors import (DimensionMismatch, InvalidOperator, NotRealMatrix,
+                              ParameterOutOfRange)
 from jointspec.models import (build_chern2d, build_example, build_ssh,
                               ssh_grading)
 from jointspec.operators import HermitianOperator, smallest_singular_value
@@ -64,6 +65,23 @@ def test_tall_composite_of_a_sparse_model():
     assert m.shape == (3 * t.dim, t.dim)
     mu = quadratic_gap(t, lam)
     assert abs(smallest_singular_value(m) - mu) <= 1e-12 * mu
+
+
+def test_tall_composite_of_a_chain_given_dense():
+    # SSH-300 (dim 600) given dense is held in CSR, so its stack is CSR and
+    # its dense SVD still gives the gap; a CSR-held pair above dimension
+    # 2896 stacks past 4096^2 entries and is refused
+    t = build_ssh(300)
+    lam = [300.3, 0.1]
+    m = tall_composite(t, lam)
+    assert sp.issparse(m) and m.shape == (1200, 600)
+    mu = quadratic_gap(t, lam)
+    assert abs(smallest_singular_value(m) - mu) <= 1e-12 * mu
+    n = 2898
+    big = ObservableTuple([sp.diags(np.arange(1.0, n + 1.0), format="csr"),
+                           sp.identity(n, format="csr")], commuting_prefix=1)
+    with pytest.raises(ParameterOutOfRange, match="too large"):
+        smallest_singular_value(tall_composite(big, [1.5, 0.0]))
 
 
 def test_quadratic_operator_psd():

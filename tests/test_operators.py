@@ -115,6 +115,15 @@ def test_smallest_singular_value_refuses_a_large_sparse_matrix():
         smallest_singular_value(sp.identity(n, format="csr"))
 
 
+def test_smallest_singular_value_of_a_tall_sparse_matrix():
+    # a sparse input is refused by its dense copy's entries, not its larger
+    # side: a 4097 x 3 one is solved as LAPACK solves its dense copy
+    a = sp.random(operators.DENSE_EIGEN_CUTOFF + 1, 3, density=0.01,
+                  format="csr", random_state=3)
+    assert smallest_singular_value(a) == np.linalg.svd(
+        a.toarray().astype(complex), compute_uv=False)[-1]
+
+
 def test_nearest_zero_dense_input():
     a = np.diag([-3.0, 0.5, 2.0])
     w, _ = eigenpair_nearest_zero(a)

@@ -224,7 +224,46 @@ def test_rung_constant_matches_dense_norm():
     assert c == perturbation_constant(shifted, h, h0)
 
 
+def _fully_dense_tuple(n, seed):
+    """Diagonal X and a fully dense Hermitian H: H stays dense above 512."""
+    r = np.random.default_rng(seed)
+    a = r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))
+    return ObservableTuple([np.diag(np.linspace(-2.0, 2.0, n)),
+                            (a + a.conj().T) / 2], commuting_prefix=1)
+
+
+def _lapack_constant(t, h, h0):
+    zinv = np.diag(1.0 / distance_operator(t).diagonal().real)
+    hm, h0m = h.dense(), h0.dense()
+    return np.linalg.norm(zinv @ (hm @ h0m + h0m @ hm + h0m @ h0m) @ zinv, 2)
+
+
 def test_dense_stored_rung_constant_above_512_matches_lapack_norm():
+    # a fully dense H of dim 600 stays dense, so C's middle factor is a
+    # dense matrix, scaled in place and normed by operator_norm's Lanczos
+    # kernel; LAPACK's 2-norm is the check
+    t = shift_to_origin(_fully_dense_tuple(600, seed=5), [0.3, 0.0])
+    h = t.ops[-1]
+    assert not h.is_sparse
+    _, keep = compress_to_ball(t, 0.5)
+    h0 = _far_field_zeroing(h, keep, t.dim)
+    assert not h0.is_sparse
+    ref = _lapack_constant(t, h, h0)
+    assert abs(truncated_gap(t, 0.5)[1].C - ref) <= 1e-12 * ref
+    assert abs(perturbation_constant(t, h, h0) - ref) <= 1e-12 * ref
+
+
+def test_constant_of_a_dense_h_and_a_csr_h0_matches_lapack_norm():
+    # H stays dense and a diagonal H0 given dense is held in CSR: their
+    # products sum to an np.matrix, which must be scaled entrywise
+    t = shift_to_origin(_fully_dense_tuple(600, seed=6), [0.3, 0.0])
+    h, h0 = t.ops[-1], HermitianOperator(np.diag(np.linspace(0.01, 0.02, 600)))
+    assert not h.is_sparse and h0.is_sparse
+    ref = _lapack_constant(t, h, h0)
+    assert abs(perturbation_constant(t, h, h0) - ref) <= 1e-12 * ref
+
+
+def test_csr_held_rung_constant_above_512_matches_lapack_norm():
     # an SSH-300 chain given dense (dim 600), held in CSR: C's middle
     # factor is normed by operator_norm's Lanczos kernel, LAPACK's 2-norm
     # is the check
@@ -233,9 +272,7 @@ def test_dense_stored_rung_constant_above_512_matches_lapack_norm():
     assert h.is_sparse
     _, keep = compress_to_ball(t, 10.0)
     h0 = _far_field_zeroing(h, keep, t.dim)
-    zinv = np.diag(1.0 / distance_operator(t).diagonal().real)
-    hm, h0m = h.dense(), h0.dense()
-    ref = np.linalg.norm(zinv @ (hm @ h0m + h0m @ hm + h0m @ h0m) @ zinv, 2)
+    ref = _lapack_constant(t, h, h0)
     assert abs(truncated_gap(t, 10.0)[1].C - ref) <= 1e-12 * ref
     assert abs(perturbation_constant(t, h, h0) - ref) <= 1e-12 * ref
 
