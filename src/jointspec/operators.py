@@ -84,7 +84,7 @@ def _norm_upper_bound(m) -> float:
     a = abs(m)
     r = a.sum(axis=1).max()
     c = a.sum(axis=0).max()
-    return float(np.sqrt(float(r) * float(c))) if m.shape[0] and m.shape[1] else 0.0
+    return float(np.sqrt(float(r) * float(c)))
 
 
 class HermitianOperator:
@@ -286,30 +286,27 @@ def _lanczos(apply, n, dtype, rtol, max_steps, vectors=False, order=None):
 
 
 def operator_norm(a) -> float:
-    """Largest singular value of `a` (HermitianOperator, ndarray or sparse):
-    LAPACK where ``solves_densely(min(m.shape))`` for a dense `m`, else
-    ``_lanczos`` on the smaller Gram matrix (``m^H m``, or ``m m^H`` when
-    `m` is wide) at ``NORM_RTOL``, with one DEBUG record of the shape, steps
-    and residual estimate.
+    """Largest singular value of `a` (HermitianOperator, ndarray or sparse),
+    whatever its storage or size: ``_lanczos`` on the smaller Gram matrix
+    (``m^H m``, or ``m m^H`` when `m` is wide) at ``NORM_RTOL``, with one
+    DEBUG record of the shape, steps and residual estimate.
     """
     m = _as_matrix(a)
     _check_finite(m)
     if min(m.shape) == 0:
         return 0.0
-    if sp.issparse(m) or not solves_densely(min(m.shape)):
-        shape, mh = m.shape, m.conj().T
-        if m.shape[1] > m.shape[0]:
-            m, mh = mh, m
-        theta, _, steps, resid, ok = _lanczos(
-            lambda x: mh @ (m @ x), m.shape[1],
-            np.result_type(m.dtype, float), NORM_RTOL, NORM_MAX_STEPS)
-        if not ok:
-            raise NumericalFailure("Lanczos did not converge for operator "
-                                   "norm", details={"shape": shape})
-        _LOG.debug("operator norm of %dx%d matrix: %d Lanczos steps, "
-                   "residual estimate %.3g", *shape, steps, resid)
-        return float(np.sqrt(theta))
-    return float(np.linalg.norm(m, 2))
+    shape, mh = m.shape, m.conj().T
+    if m.shape[1] > m.shape[0]:
+        m, mh = mh, m
+    theta, _, steps, resid, ok = _lanczos(
+        lambda x: mh @ (m @ x), m.shape[1],
+        np.result_type(m.dtype, float), NORM_RTOL, NORM_MAX_STEPS)
+    if not ok:
+        raise NumericalFailure("Lanczos did not converge for operator norm",
+                               details={"shape": shape})
+    _LOG.debug("operator norm of %dx%d matrix: %d Lanczos steps, residual "
+               "estimate %.3g", *shape, steps, resid)
+    return float(np.sqrt(theta))
 
 
 #: ``splu`` options of the small factor: symmetric ordering, diagonal pivots

@@ -129,12 +129,12 @@ def extract_state(t, lam, accuracy: float = 1e-9) -> LocalizedStateReport:
         site_shape=tuple(shape) if shape else None)
 
 
-def check_identity(report: LocalizedStateReport, rtol: float = IDENTITY_RTOL) -> float:
+def check_identity(report: LocalizedStateReport) -> float:
     """Residual of the decomposition of mu_q^2 at the extracted state:
 
     sum_j kappa^2 (var_j + (exp_j - lam_j)^2) + var_E + (exp_E - E)^2 = mu_q^2.
 
-    Returns the relative residual and raises NumericalFailure beyond rtol.
+    Returns the relative residual, raising NumericalFailure over IDENTITY_RTOL.
     """
     k2 = report.kappa ** 2
     lam = report.lam.coords
@@ -145,7 +145,7 @@ def check_identity(report: LocalizedStateReport, rtol: float = IDENTITY_RTOL) ->
                        + (report.position_expectations[j] - lam[j]) ** 2)
     ref = max(report.mu_q ** 2, 1e-300)
     resid = abs(total - report.mu_q ** 2) / ref
-    if resid > rtol:
+    if resid > IDENTITY_RTOL:
         raise NumericalFailure("extracted-state identity violated",
                                details={"residual": resid})
     return resid

@@ -26,7 +26,6 @@ from .composites import (ObservableTuple, ProbePoint, _checked_probe,
 from .errors import (ChiralSymmetryViolation, DimensionMismatch,
                      NumericalFailure, ParameterOutOfRange)
 from .models import ssh_grading, write_csv, write_json
-from .operators import HermitianOperator
 
 __all__ = [
     "GridSpec",
@@ -300,16 +299,14 @@ def epsilon_mask(grid: GapGrid, epsilon: float) -> np.ndarray:
 
 
 def spectral_flow(path: Callable[[float], ObservableTuple], lam,
-                  t_samples, operator_kind: str,
-                  rep: Optional[CliffordRep] = None,
-                  grading: Optional[HermitianOperator] = None) -> SpectralFlowTable:
+                  t_samples, operator_kind: str) -> SpectralFlowTable:
     """Full sorted spectrum of the chosen composite at each path sample.
 
     ``quadratic_sqrt`` reports the square roots of the (clamped nonnegative)
     eigenvalues of Q; ``localizer`` the localizer eigenvalues; and
     ``reduced_localizer`` the verified-real spectrum of ((X - x) + i(H - E))G
-    for chiral two-observable models, where G defaults to the alternating
-    sublattice grading.
+    for chiral two-observable models, G being the alternating sublattice
+    grading.
     """
     if operator_kind not in FLOW_KINDS:
         raise ParameterOutOfRange(f"operator_kind must be one of {FLOW_KINDS}")
@@ -325,8 +322,7 @@ def spectral_flow(path: Callable[[float], ObservableTuple], lam,
             eigs = np.linalg.eigvalsh(q.dense())
             spectra.append(np.sqrt(np.clip(eigs, 0.0, None)))
         elif operator_kind == "localizer":
-            use_rep = rep or build_clifford(model.d_total)
-            ell = localizer(model, lam, use_rep)
+            ell = localizer(model, lam, build_clifford(model.d_total))
             spectra.append(np.sort(np.linalg.eigvalsh(ell.dense())))
         else:
             if model.d_total != 2:
@@ -334,8 +330,7 @@ def spectral_flow(path: Callable[[float], ObservableTuple], lam,
                     "reduced localizer needs a two-observable chiral model")
             lam_x, lam_e = _checked_probe(model, lam).coords
             x, h = shifted_observables(model, [0.0, lam_e])
-            g = grading if grading is not None else ssh_grading(model.dim)
-            red = reduced_localizer(x, h, float(lam_x), g)
+            red = reduced_localizer(x, h, float(lam_x), ssh_grading(model.dim))
             eigs = np.linalg.eigvals(red)
             scale = max(1.0, float(np.abs(eigs).max()))
             if float(np.abs(eigs.imag).max()) > 1e-9 * scale:

@@ -120,18 +120,13 @@ def distance_operator(t: ObservableTuple) -> HermitianOperator:
 
 
 def _scaled_norm(t: ObservableTuple, mid) -> float:
-    """|| Z^(-1) mid Z^(-1) ||; a diagonal Z scales a fresh ``mid`` in place."""
-    mid = mid if sp.issparse(mid) else np.asarray(mid)  # np.matrix's *= is @
+    """|| Z^(-1) mid Z^(-1) || as one product, whatever ``mid``'s storage:
+    ``Z^(-1)`` is ``sp.diags(1 / z)`` for a diagonal Z, else its dense
+    inverse."""
     z = distance_operator(t)
-    if not z.is_diagonal:
-        zinv = np.linalg.inv(z.dense())
-        mid = zinv @ (mid.toarray() if sp.issparse(mid) else mid) @ zinv
-    elif sp.issparse(mid):
-        zinv, mid = 1.0 / z.diagonal().real, mid.tocsr()
-        mid.data *= np.repeat(zinv, np.diff(mid.indptr)) * zinv[mid.indices]
-    else:
-        mid *= np.outer(1.0 / z.diagonal().real, 1.0 / z.diagonal().real)
-    return float(operator_norm(mid))
+    zinv = (sp.diags(1.0 / z.diagonal().real) if z.is_diagonal
+            else np.linalg.inv(z.dense()))
+    return operator_norm(zinv @ mid @ zinv)
 
 
 def perturbation_constant(t: ObservableTuple, h: HermitianOperator,

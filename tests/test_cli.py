@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -91,6 +92,18 @@ def test_gap_single_kind_json(capsys, tmp_path):
     doc = json.loads(out_path.read_text())
     assert "mu_q" in doc and "mu_c" not in doc
     assert doc["mu_q"] > 0
+
+
+def test_gap_json_is_byte_repeatable(capsys, tmp_path, monkeypatch):
+    # the solve takes 0.5 s, then 2 s: the timing must stay out of the file
+    for step, name in ((0.5, "a.json"), (2.0, "b.json")):
+        clock = iter(np.arange(100) * step)
+        monkeypatch.setattr(time, "monotonic", lambda: float(next(clock)))
+        code, out, _ = run(capsys, "gap", "--model", "ssh", "--lambda", "4,0",
+                           "--json-out", str(tmp_path / name))
+        assert code == 0 and f"time={step}s" in out
+    a, b = ((tmp_path / name).read_bytes() for name in ("a.json", "b.json"))
+    assert a == b
 
 
 def test_bad_model_exit_code(capsys):
@@ -250,7 +263,13 @@ def test_states_command(capsys, tmp_path):
       "--json-out", "s.json"], "kappa must be positive and finite"),
     (["truncate", "--model", "ssh", "--lambda", "4.3,0", "--rho", "2,-1",
       "--full", "--json-out", "t.json"], "rho must be positive"),
-], ids=["sites-csv", "kappas", "rho"])
+    (["sweep", "--model", "ssh", "--grid", "x=0:9", "--csv-out", "o.csv"],
+     "bad axis range '0:9'"),
+    (["gap", "--model", "ssh", "--param", "n_cells", "--lambda", "1,0",
+      "--json-out", "g.json"], "bad --param 'n_cells'"),
+    (["flow", "--model", "chern2d", "--lambda", "4,0", "--csv-out", "f.csv"],
+     "flow currently supports --model ssh-path"),
+], ids=["sites-csv", "kappas", "rho", "axis-range", "param", "flow-model"])
 def test_refused_before_the_first_solve(capsys, tmp_path, monkeypatch,
                                         lapack_calls, argv, output):
     from jointspec import operators

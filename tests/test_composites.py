@@ -6,11 +6,12 @@ from jointspec.clifford import build_clifford
 from jointspec.composites import (ObservableTuple, ProbePoint, clifford_gap,
                                   commutator_bound, commutator_bound_2d,
                                   determinant_sign_index, gap_pair_with_bound,
-                                  localizer, minimizing_state, quadratic_gap,
+                                  gap_values, localizer, localizer_pencil,
+                                  minimizing_state, quadratic_gap,
                                   quadratic_operator, reduced_localizer,
                                   tall_composite, verify_symmetry)
 from jointspec.errors import (DimensionMismatch, InvalidOperator, NotRealMatrix,
-                              ParameterOutOfRange)
+                              ParameterOutOfRange, RepMismatch)
 from jointspec.models import (build_chern2d, build_example, build_ssh,
                               ssh_grading)
 from jointspec.operators import HermitianOperator, smallest_singular_value
@@ -211,3 +212,13 @@ def test_verify_symmetry_block_structure():
     x2 = np.block([[np.zeros((2, 2)), b], [b.conj().T, np.zeros((2, 2))]])
     t = ObservableTuple([x1, x2])
     assert verify_symmetry(t, s, 1, [0.4, -0.7], REP2)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda t: localizer_pencil(t, build_clifford(3)), RepMismatch),
+    (lambda t: gap_values(t, [[4.0, 0.0]], "bogus"), ParameterOutOfRange),
+    (commutator_bound_2d, DimensionMismatch),
+], ids=["rep-of-wrong-d", "unknown-kind", "2d-bound-on-ssh"])
+def test_composite_refusals_on_ssh(call, error):
+    with pytest.raises(error):
+        call(build_ssh(4))

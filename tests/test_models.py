@@ -45,6 +45,8 @@ def test_ssh_path_endpoints_and_range():
     assert np.isclose(mid[0, 1].real, mid[1, 2].real)
     with pytest.raises(ParameterOutOfRange):
         build_ssh_path(1.5)
+    with pytest.raises(ParameterOutOfRange, match="n_cells"):
+        build_ssh(0)
 
 
 def test_pauli_pair_nilpotent_sum():
@@ -233,9 +235,14 @@ def test_matrix_file_roundtrip(tmp_path):
 
 def test_matrix_file_validation(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("2\n0 0 1 0\n")
-    with pytest.raises(ModelConfigError):
-        read_matrix_file(path)
+    for text, message in [("2\n0 0 1 0\n", "expected 4 entries"),
+                          ("", "empty matrix file"),
+                          ("two\n0 0 1 0\n", "header must be the dimension"),
+                          ("1\n0 0 1\n", "bad entry line"),
+                          ("1\n0 1 1 0\n", r"index \(0,1\) out of range")]:
+        path.write_text(text)
+        with pytest.raises(ModelConfigError, match=message):
+            read_matrix_file(path)
 
 
 def test_explicit_model_from_files(tmp_path):

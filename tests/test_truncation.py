@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from jointspec.clifford import build_clifford
 from jointspec.composites import (ObservableTuple, _coo, localizer,
                                   quadratic_gap, quadratic_operator)
-from jointspec.errors import (CTooLarge, EmptyBall, ParameterOutOfRange,
-                              ZNotInvertible)
+from jointspec.errors import (CTooLarge, DimensionMismatch, EmptyBall,
+                              ParameterOutOfRange, ZNotInvertible)
 from jointspec.models import build_chern2d, build_ssh
 from jointspec.operators import HermitianOperator, operator_norm
 from jointspec.truncation import (TruncationCertificate, compress_to_ball,
@@ -44,6 +44,13 @@ def test_distance_operator_site_at_origin():
                         commuting_prefix=1)
     with pytest.raises(ZNotInvertible):
         distance_operator(t)
+
+
+def test_perturbation_constant_refuses_an_h0_of_another_dimension():
+    t = build_ssh(4)
+    with pytest.raises(DimensionMismatch):
+        perturbation_constant(t, t.hamiltonian,
+                              HermitianOperator(np.zeros((3, 3))))
 
 
 def test_perturbation_constant_trivial_cases():
@@ -126,6 +133,10 @@ def test_compress_empty_ball():
         compress_to_ball(t, rho=0.1)
     with pytest.raises(ParameterOutOfRange):
         compress_to_ball(t, rho=-1.0)
+    hopping = ObservableTuple([np.array([[0.0, 1.0], [1.0, 0.0]]),
+                               np.eye(2)], commuting_prefix=1)
+    with pytest.raises(ParameterOutOfRange, match="diagonal position"):
+        compress_to_ball(hopping, rho=2.0)
 
 
 def test_truncated_gap_full_radius_is_exact():
